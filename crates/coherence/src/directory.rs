@@ -165,7 +165,11 @@ impl OwnershipStore {
 /// what turns entry size into latency in Figure 6.
 #[derive(Debug, Clone)]
 pub struct DirectoryCache {
-    sets: Vec<Vec<(u64, u64)>>, // (tag, last_use)
+    /// `(tag, last_use)` per way; empty until the first access, so a
+    /// machine whose protocol never consults a directory (the snoopy
+    /// ones) does not allocate or touch its sets.
+    sets: Vec<Vec<(u64, u64)>>,
+    num_sets: usize,
     ways: usize,
     use_counter: u64,
     hits: u64,
@@ -183,7 +187,8 @@ impl DirectoryCache {
         assert!(entries >= ways, "need at least one set");
         let num_sets = (entries / ways).max(1);
         DirectoryCache {
-            sets: vec![Vec::with_capacity(ways); num_sets],
+            sets: Vec::new(),
+            num_sets,
             ways,
             use_counter: 0,
             hits: 0,
@@ -203,14 +208,17 @@ impl DirectoryCache {
 
     /// Total entry capacity.
     pub fn capacity(&self) -> usize {
-        self.sets.len() * self.ways
+        self.num_sets * self.ways
     }
 
     /// Looks up `line`, returns `true` on hit; on miss, inserts it
     /// (evicting LRU).
     pub fn access(&mut self, line: LineAddr) -> bool {
         self.use_counter += 1;
-        let set_count = self.sets.len() as u64;
+        if self.sets.is_empty() {
+            self.sets = vec![Vec::new(); self.num_sets];
+        }
+        let set_count = self.num_sets as u64;
         let tag = line.0 >> 5; // line address granularity
         let set = &mut self.sets[(tag % set_count) as usize];
         if let Some(slot) = set.iter_mut().find(|(t, _)| *t == tag) {
@@ -312,9 +320,11 @@ mod tests {
     #[test]
     fn directory_cache_hits_and_lru() {
         let mut c = DirectoryCache::new(4, 2); // 2 sets × 2 ways
+        assert_eq!(c.capacity(), 4, "capacity is known before the sets exist");
         let a = LineAddr(0x00 << 5 << 1); // even tags map to set 0
         assert!(!c.access(LineAddr(0 << 6)));
         assert!(c.access(LineAddr(0 << 6)));
+        assert_eq!(c.capacity(), 4);
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
         let _ = a;

@@ -438,15 +438,6 @@ impl System {
         self.leap = leap;
     }
 
-    /// Selects the number of worker lanes for intra-run parallelism
-    /// (`<= 1`, the default, is the single-thread engine). Parallelism is
-    /// confined to the main network's compute phase behind a deterministic
-    /// commit, so results are byte-identical for every worker count. Call
-    /// before the first cycle.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.net.set_workers(workers);
-    }
-
     /// Cycles actually executed as steps. Without the leap engine this
     /// equals [`System::cycle`]; with it, `cycle - stepped_cycles` is the
     /// span covered by clock leaps.

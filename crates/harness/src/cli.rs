@@ -1,5 +1,4 @@
-//! The `harness` command-line driver, also backing the nine thin figure
-//! binaries in `scorpio-bench`.
+//! The `harness` command-line driver.
 //!
 //! ```text
 //! harness list
@@ -356,34 +355,6 @@ fn prefixed(scenario: &str, r: &RunResult, body: &str) -> String {
         r.spec.seed,
         &body[1..]
     )
-}
-
-/// Entry point for the thin figure binaries: runs `scenarios` with any
-/// extra CLI args passed through, then exits the process.
-pub fn bin_main(scenarios: &[&str], extra: Vec<String>) -> ! {
-    let mut args: Vec<String> = vec!["run".into()];
-    args.extend(scenarios.iter().map(|s| s.to_string()));
-    args.extend(extra);
-    std::process::exit(run_cli(args));
-}
-
-/// [`bin_main`] for wrapper binaries whose first positional argument
-/// historically selected a reduced run (e.g. `fig6 small`, `scaling
-/// small`): `variants` maps that argument to the scenario to run instead
-/// of `base`; any other arguments pass through unchanged.
-pub fn bin_main_with_variants(base: &str, variants: &[(&str, &str)], mut args: Vec<String>) -> ! {
-    let selected = args
-        .first()
-        .and_then(|a| variants.iter().find(|(arg, _)| arg == a))
-        .map(|&(_, scenario)| scenario);
-    let name = match selected {
-        Some(scenario) => {
-            args.remove(0);
-            scenario
-        }
-        None => base,
-    };
-    bin_main(&[name], args)
 }
 
 #[cfg(test)]

@@ -132,80 +132,23 @@ pub struct RunResult {
     pub windows: Option<Vec<String>>,
 }
 
-/// Runs one spec to completion.
-pub fn run_spec(spec: &RunSpec, ops_per_core: usize) -> RunResult {
-    run_spec_opts(spec, ops_per_core, None, None)
+/// Runs one spec to completion under its own engine, with `ov` applied on
+/// top of the spec's own configuration.
+pub fn run_spec(spec: &RunSpec, ops_per_core: usize, ov: &Overrides) -> RunResult {
+    run_spec_with(spec, ops_per_core, ov, |_| {})
 }
 
-/// Runs one spec to completion, optionally forcing the observability
-/// level and flit-trace cap on top of the spec's own configuration.
-pub fn run_spec_opts(
-    spec: &RunSpec,
-    ops_per_core: usize,
-    obs_override: Option<ObsLevel>,
-    trace_limit: Option<usize>,
-) -> RunResult {
-    run_spec_ov(
-        spec,
-        ops_per_core,
-        &Overrides {
-            obs: obs_override,
-            trace_limit,
-            ..Overrides::default()
-        },
-    )
-}
-
-/// Runs one spec to completion with the full override set on top of the
-/// spec's own configuration.
-pub fn run_spec_ov(spec: &RunSpec, ops_per_core: usize, ov: &Overrides) -> RunResult {
-    // The parallel engines ask for four lanes but never more than the
-    // host has: results are byte-identical for any lane count, so extra
-    // lanes could only timeshare a core and slow the benchmark down.
-    let lanes = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
-    run_spec_full(spec, ops_per_core, ov, |sys| match spec.engine {
-        Engine::ActiveSet => {}
-        Engine::AlwaysScan => sys.set_always_scan(true),
-        Engine::CoordRoute => sys.set_table_routing(false),
-        Engine::Leap => sys.set_leap(true),
-        Engine::Parallel => sys.set_workers(lanes),
-        Engine::Turbo => {
-            sys.set_leap(true);
-            sys.set_workers(lanes);
-        }
-    })
-}
-
-/// Runs one spec to completion with an arbitrary pre-run system tweak in
-/// place of the spec's engine selection (the equivalence matrix uses this
-/// to set leap/worker combinations the [`Engine`] axis does not name).
-pub fn run_spec_custom(
-    spec: &RunSpec,
-    ops_per_core: usize,
-    obs_override: Option<ObsLevel>,
-    trace_limit: Option<usize>,
-    tweak: impl Fn(&mut System),
-) -> RunResult {
-    run_spec_full(
-        spec,
-        ops_per_core,
-        &Overrides {
-            obs: obs_override,
-            trace_limit,
-            ..Overrides::default()
-        },
-        tweak,
-    )
-}
-
-/// The executor core: applies every override, runs the spec, and
-/// collects whichever deterministic streams the final configuration
-/// enabled (flit trace, transaction spans, window rows).
-pub fn run_spec_full(
+/// The executor core: applies every override, selects the spec's engine,
+/// applies `tweak` before the first cycle, runs the spec, and collects
+/// whichever deterministic streams the final configuration enabled (flit
+/// trace, transaction spans, window rows). The equivalence matrix uses
+/// the tweak to switch the event-leaping clock on over the reference
+/// engines, combinations the [`Engine`] axis does not name.
+pub fn run_spec_with(
     spec: &RunSpec,
     ops_per_core: usize,
     ov: &Overrides,
-    tweak: impl Fn(&mut System),
+    tweak: impl FnOnce(&mut System),
 ) -> RunResult {
     let mut cfg = spec.config();
     if let Some(level) = ov.obs {
@@ -231,6 +174,12 @@ pub fn run_spec_full(
     let started = Instant::now();
     let traces = generate(&params, cfg.cores(), cfg.seed);
     let mut sys = System::with_traces(cfg, traces);
+    match spec.engine {
+        Engine::ActiveSet => {}
+        Engine::AlwaysScan => sys.set_always_scan(true),
+        Engine::CoordRoute => sys.set_table_routing(false),
+        Engine::Leap => sys.set_leap(true),
+    }
     tweak(&mut sys);
     let setup_nanos = started.elapsed().as_nanos();
     let sim_started = Instant::now();
@@ -296,7 +245,7 @@ pub fn run_specs(specs: &[RunSpec], opts: &ExecOptions) -> Vec<RunResult> {
         return specs
             .iter()
             .map(|s| {
-                let r = run_spec_ov(s, opts.ops_per_core, &ov);
+                let r = run_spec(s, opts.ops_per_core, &ov);
                 if opts.verbose {
                     eprintln!(
                         "[harness] {} -> {} cycles",
@@ -340,7 +289,7 @@ pub fn run_specs(specs: &[RunSpec], opts: &ExecOptions) -> Vec<RunResult> {
                         .find_map(|v| queues[v].lock().unwrap().pop_back())
                 });
                 let Some(i) = job else { break };
-                let r = run_spec_ov(&specs[i], opts.ops_per_core, &ov);
+                let r = run_spec(&specs[i], opts.ops_per_core, &ov);
                 if opts.verbose {
                     eprintln!(
                         "[harness] {} -> {} cycles (worker {w})",

@@ -14,8 +14,7 @@
 //! * [`sink`] — deterministic JSON-lines and CSV result sinks,
 //! * [`table`] — the normalized-runtime pretty-printer,
 //! * [`cli`] — the `harness` command (`harness list`, `harness run fig7
-//!   --threads 8 --json out.jsonl`), which the nine `scorpio-bench`
-//!   figure binaries wrap.
+//!   --threads 8 --json out.jsonl`).
 //!
 //! # Examples
 //!
@@ -44,10 +43,7 @@ pub mod table;
 
 pub use exec::{run_grid, run_spec, ExecOptions, RunResult};
 pub use scenario::{Engine, Fabric, Knob, McPlacement, RunSpec, Scenario, SweepGrid, Variant};
-pub use table::{print_normalized, render_normalized};
-
-use scorpio::{SystemConfig, SystemReport};
-use scorpio_workloads::{generate, WorkloadParams};
+pub use table::render_normalized;
 
 /// Default operations per core for sweeps. Override with the `SCORPIO_OPS`
 /// environment variable (or `harness run --ops N`) to trade fidelity for
@@ -59,11 +55,23 @@ pub fn ops_per_core() -> usize {
         .unwrap_or(150)
 }
 
-/// Runs `params` (scaled to [`ops_per_core`]) on `cfg` and returns the
-/// report — the single-run primitive the grid executor parallelizes.
-pub fn run_workload(cfg: SystemConfig, params: &WorkloadParams) -> SystemReport {
-    let scaled = params.clone().with_ops(ops_per_core());
-    let traces = generate(&scaled, cfg.cores(), cfg.seed);
-    let mut sys = scorpio::System::with_traces(cfg, traces);
-    sys.run_to_completion()
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::Overrides;
+
+    // One sequential test: the env var is process-global, so default
+    // behaviour and override are checked in order.
+    #[test]
+    fn ops_default_and_tiny_run() {
+        std::env::remove_var("SCORPIO_OPS");
+        assert_eq!(ops_per_core(), 150);
+        std::env::set_var("SCORPIO_OPS", "10");
+        let ops = ops_per_core();
+        std::env::remove_var("SCORPIO_OPS");
+        assert_eq!(ops, 10);
+        let spec = &registry::by_name("fig7-small").unwrap().grid.enumerate()[0];
+        let r = run_spec(spec, ops, &Overrides::default());
+        assert_eq!(r.report.ops_completed, (ops * spec.config().cores()) as u64);
+    }
 }

@@ -2,11 +2,9 @@
 //!
 //! Every figure and table of the paper's evaluation is registered here as
 //! a [`Scenario`]: a declarative sweep grid plus a render function that
-//! reproduces the table the original hand-rolled binary printed. The nine
-//! `scorpio-bench` binaries are thin wrappers that resolve a name in this
-//! registry and hand it to the CLI driver; `harness list` shows everything
-//! that can be run, including the reduced `-small` variants the binaries
-//! historically accepted as a positional argument.
+//! prints the figure's table. `harness run <name>` resolves a name here;
+//! `harness list` shows everything that can be run, including the
+//! reduced `-small` variants.
 
 use scorpio::{ArrivalProcess, Protocol};
 use scorpio_workloads::WorkloadParams;
@@ -832,26 +830,25 @@ fn kilocore_small_filter(spec: &RunSpec) -> bool {
 /// Kilocore scale-out self-benchmark: the low-injection barrier workload
 /// on a 32×32 mesh (1024 cores, proportional MCs), its concentrated twin
 /// `cmesh16x16x4`, and a 4-plane `cmesh8x8x4` composition — each under
-/// the plain active-set engine, the event-leaping clock, and leap plus
-/// four worker lanes (`turbo`), and each with the flat notification
-/// scheme and the hierarchical quad tree (`quad-f2`, which shrinks the
-/// notification window from O(grid diameter) to O(2·tree depth) and
-/// unlocks per-region leap accounting). All engines produce byte-identical
-/// reports (equivalence matrix); the table measures what the leap, the
-/// workers and the quad window buy at this scale.
+/// the plain active-set engine and the event-leaping clock, and each with
+/// the flat notification scheme and the hierarchical quad tree
+/// (`quad-f2`, which shrinks the notification window from O(grid
+/// diameter) to O(2·tree depth) and unlocks per-region leap accounting).
+/// Both engines produce byte-identical reports (equivalence matrix); the
+/// table measures what the leap and the quad window buy at this scale.
 fn scaling_kilocore(name: &'static str, meshes: &'static [u16], filter: GridFilter) -> Scenario {
     Scenario {
         name,
         title: format!(
-            "Scaling-kilocore — engine scale-out at {} cores (leap + parallel ticking)",
+            "Scaling-kilocore — engine scale-out at {} cores (event-leaping clock)",
             meshes.last().map_or(0, |&k| k as usize * k as usize)
         ),
-        about: "Kilocore self-benchmark: active-set vs leap vs turbo, flat vs quad notify",
+        about: "Kilocore self-benchmark: active-set vs leap, flat vs quad notify",
         grid: SweepGrid::over(vec![uniform_low()])
             .meshes(meshes)
             .fabrics(&[Fabric::Mesh, Fabric::CMesh(4)])
             .planes(&[1, 4])
-            .engines(&[Engine::ActiveSet, Engine::Leap, Engine::Turbo])
+            .engines(&[Engine::ActiveSet, Engine::Leap])
             .variants(vec![
                 Variant::new("prop-MCs", vec![Knob::ProportionalMcs]),
                 Variant::new(

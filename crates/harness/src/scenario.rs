@@ -311,12 +311,6 @@ pub enum Engine {
     /// The active-set engine plus the event-leaping clock: whole-machine
     /// idle spans are jumped rather than stepped.
     Leap,
-    /// The active-set engine with four worker lanes ticking planes (or
-    /// router shards) in parallel behind a deterministic commit.
-    Parallel,
-    /// Leap and four worker lanes combined — the kilocore scale-out
-    /// engine.
-    Turbo,
 }
 
 impl Engine {
@@ -328,8 +322,6 @@ impl Engine {
             Engine::AlwaysScan => "scan",
             Engine::CoordRoute => "coord",
             Engine::Leap => "leap",
-            Engine::Parallel => "par",
-            Engine::Turbo => "turbo",
         }
     }
 }

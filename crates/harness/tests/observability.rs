@@ -6,8 +6,17 @@
 //! when off (the `--ignored` release benchmark below).
 
 use scorpio::ObsLevel;
-use scorpio_harness::exec::{run_spec, run_spec_full, run_spec_opts, Overrides, RunResult};
-use scorpio_harness::registry;
+use scorpio_harness::exec::{run_spec, Overrides, RunResult};
+use scorpio_harness::{registry, Engine};
+
+/// Overrides that record the flit trace, capped at `limit` events.
+fn traced(limit: usize) -> Overrides {
+    Overrides {
+        obs: Some(ObsLevel::Trace),
+        trace_limit: Some(limit),
+        ..Overrides::default()
+    }
+}
 use std::collections::{HashMap, HashSet};
 
 /// Tiny numeric-field extractor for the hand-rolled trace JSON (no JSON
@@ -43,7 +52,7 @@ fn trace_reconciles_with_packet_latency_histogram() {
         .into_iter()
         .find(|s| s.protocol == scorpio::Protocol::Scorpio)
         .expect("a SCORPIO cell exists");
-    let r = run_spec_opts(&spec, 10, Some(ObsLevel::Trace), Some(10_000_000));
+    let r = run_spec(&spec, 10, &traced(10_000_000));
     assert_eq!(r.trace_dropped, 0, "the cap must not truncate this run");
     let obs = r.report.obs.as_deref().expect("obs annex present");
     let trace = r.trace.as_ref().expect("trace recorded");
@@ -112,8 +121,8 @@ fn capped_trace_is_an_exact_prefix_of_the_uncapped_trace() {
         .into_iter()
         .find(|s| s.protocol == scorpio::Protocol::Scorpio)
         .expect("a SCORPIO cell exists");
-    let full = run_spec_opts(&spec, 8, Some(ObsLevel::Trace), Some(10_000_000));
-    let capped = run_spec_opts(&spec, 8, Some(ObsLevel::Trace), Some(200));
+    let full = run_spec(&spec, 8, &traced(10_000_000));
+    let capped = run_spec(&spec, 8, &traced(200));
     let full_trace = full.trace.as_ref().unwrap();
     let capped_trace = capped.trace.as_ref().unwrap();
     assert!(full_trace.len() > 200, "run is big enough to hit the cap");
@@ -227,14 +236,13 @@ fn check_span_reconciliation(r: &RunResult) {
 /// cycle it is generated.
 #[test]
 fn spans_reconcile_with_report_histograms() {
-    let r = run_spec_full(
+    let r = run_spec(
         &scorpio_cell(),
         10,
         &Overrides {
             spans: true,
             ..Overrides::default()
         },
-        |_| {},
     );
     check_span_reconciliation(&r);
     let sp = r.report.obs.as_deref().unwrap().spans.as_ref().unwrap();
@@ -260,14 +268,13 @@ fn open_loop_spans_reconcile_and_fill_the_source_phase() {
                 && s.variant.label == "pois-30"
         })
         .expect("the mesh SCORPIO pois-30 cell exists");
-    let r = run_spec_full(
+    let r = run_spec(
         &spec,
         10,
         &Overrides {
             spans: true,
             ..Overrides::default()
         },
-        |_| {},
     );
     check_span_reconciliation(&r);
     let sp = r.report.obs.as_deref().unwrap().spans.as_ref().unwrap();
@@ -279,8 +286,8 @@ fn open_loop_spans_reconcile_and_fill_the_source_phase() {
 
 /// Spans and windows are simulation truth, so every engine must render
 /// byte-identical streams — the always-scan and coordinate-routing
-/// references, the leaping clock, parallel worker lanes, and the
-/// combined turbo engine, on single- and multi-plane configurations.
+/// references and the leaping clock, on single- and multi-plane
+/// configurations.
 #[test]
 fn span_and_window_streams_are_engine_invariant() {
     let ov = Overrides {
@@ -288,40 +295,31 @@ fn span_and_window_streams_are_engine_invariant() {
         window_cycles: Some(256),
         ..Overrides::default()
     };
-    type Tweak = fn(&mut scorpio::System);
-    let cases: [(&str, Tweak); 5] = [
-        ("scan", |s| s.set_always_scan(true)),
-        ("coord", |s| s.set_table_routing(false)),
-        ("leap", |s| s.set_leap(true)),
-        ("workers2", |s| s.set_workers(2)),
-        ("turbo4", |s| {
-            s.set_leap(true);
-            s.set_workers(4);
-        }),
-    ];
     for planes in [1, 2] {
         let mut spec = scorpio_cell();
         spec.planes = planes;
-        let base = run_spec_full(&spec, 13, &ov, |_| {});
+        let base = run_spec(&spec, 13, &ov);
         let spans = base.spans.as_ref().expect("spans recorded");
         let windows = base.windows.as_ref().expect("windows recorded");
         assert!(!spans.is_empty() && !windows.is_empty());
-        for (name, tweak) in cases {
-            let r = run_spec_full(&spec, 13, &ov, tweak);
+        for engine in [Engine::AlwaysScan, Engine::CoordRoute, Engine::Leap] {
+            let mut other = spec.clone();
+            other.engine = engine;
+            let r = run_spec(&other, 13, &ov);
             assert_eq!(
                 r.spans.as_ref().unwrap(),
                 spans,
-                "{name} spans diverge at {planes} plane(s)"
+                "{engine:?} spans diverge at {planes} plane(s)"
             );
             assert_eq!(
                 r.windows.as_ref().unwrap(),
                 windows,
-                "{name} windows diverge at {planes} plane(s)"
+                "{engine:?} windows diverge at {planes} plane(s)"
             );
             assert_eq!(
                 r.report.to_json(),
                 base.report.to_json(),
-                "{name} report diverges at {planes} plane(s)"
+                "{engine:?} report diverges at {planes} plane(s)"
             );
         }
     }
@@ -394,8 +392,8 @@ fn disabled_observability_costs_under_two_percent() {
     let rate = |r: &RunResult| r.report.runtime_cycles as f64 * 1e9 / r.sim_nanos as f64;
     let (mut a, mut b) = (0.0f64, 0.0f64);
     for _ in 0..5 {
-        a = a.max(rate(&run_spec(&spec, 30)));
-        b = b.max(rate(&run_spec(&spec, 30)));
+        a = a.max(rate(&run_spec(&spec, 30, &Overrides::default())));
+        b = b.max(rate(&run_spec(&spec, 30, &Overrides::default())));
     }
     let delta = (a / b - 1.0).abs();
     assert!(

@@ -1,15 +1,24 @@
 //! Open-loop injection guarantees. The arrival generators are simulation
 //! inputs, so they inherit every determinism bar the closed-loop traces
-//! already clear: byte-identical reports *and* flit traces across all six
+//! already clear: byte-identical reports *and* flit traces across all four
 //! engines and every executor thread count, a zero-load knob that
 //! degenerates to the closed-loop machine exactly, and an event-leaping
 //! clock that never jumps past a pending arrival deadline.
 
 use scorpio::{ArrivalProcess, ObsLevel};
-use scorpio_harness::exec::{run_grid, run_spec, run_spec_opts, ExecOptions};
+use scorpio_harness::exec::{run_grid, run_spec, ExecOptions, Overrides};
 use scorpio_harness::registry;
 use scorpio_harness::sink::{self, SinkOptions};
 use scorpio_harness::{Engine, Fabric, Knob, RunSpec};
+
+/// Overrides that record the flit trace, capped at `limit` events.
+fn traced(limit: usize) -> Overrides {
+    Overrides {
+        obs: Some(ObsLevel::Trace),
+        trace_limit: Some(limit),
+        ..Overrides::default()
+    }
+}
 
 /// The mesh SCORPIO cell of `latency-curve-small` carrying `variant`.
 fn curve_cell(variant: &str) -> RunSpec {
@@ -46,8 +55,8 @@ fn zero_load_open_loop_degenerates_to_the_closed_loop() {
         process: ArrivalProcess::Poisson,
         millis: 0,
     });
-    let a = run_spec_opts(&closed, 10, Some(ObsLevel::Trace), Some(4096));
-    let b = run_spec_opts(&open, 10, Some(ObsLevel::Trace), Some(4096));
+    let a = run_spec(&closed, 10, &traced(4096));
+    let b = run_spec(&open, 10, &traced(4096));
     assert_eq!(
         a.report.to_json(),
         b.report.to_json(),
@@ -80,39 +89,33 @@ fn replay_arrivals_complete_the_full_trace() {
         millis: 0,
     });
     let ops = 10;
-    let base = run_spec(&spec, ops);
+    let base = run_spec(&spec, ops, &Overrides::default());
     let cores = spec.config().cores() as u64;
     assert_eq!(base.report.ops_completed, ops as u64 * cores);
     assert_eq!(base.report.source_dropped, 0);
     let mut scan_spec = spec.clone();
     scan_spec.engine = Engine::AlwaysScan;
-    let scan = run_spec(&scan_spec, ops);
+    let scan = run_spec(&scan_spec, ops, &Overrides::default());
     assert_eq!(base.report.to_json(), scan.report.to_json());
 }
 
 /// The equivalence matrix gains open-loop rows: under Poisson and bursty
-/// arrivals, all six engines must produce byte-identical reports AND
-/// merged flit traces. The leap/parallel/turbo rows are the interesting
-/// ones — arrival deadlines reach the timed-wake heap, so the leaping
-/// clock stops at them like any other event.
+/// arrivals, all four engines must produce byte-identical reports AND
+/// merged flit traces. The leap row is the interesting one — arrival
+/// deadlines reach the timed-wake heap, so the leaping clock stops at
+/// them like any other event.
 #[test]
-fn open_loop_reports_and_traces_are_byte_identical_across_six_engines() {
+fn open_loop_reports_and_traces_are_byte_identical_across_four_engines() {
     for variant in ["pois-12", "burst-20"] {
         let spec = curve_cell(variant);
         assert_eq!(spec.engine, Engine::ActiveSet);
-        let base = run_spec_opts(&spec, 8, Some(ObsLevel::Trace), Some(2048));
+        let base = run_spec(&spec, 8, &traced(2048));
         let json = base.report.to_json();
         assert!(base.report.ops_completed > 0);
-        for engine in [
-            Engine::AlwaysScan,
-            Engine::CoordRoute,
-            Engine::Leap,
-            Engine::Parallel,
-            Engine::Turbo,
-        ] {
+        for engine in [Engine::AlwaysScan, Engine::CoordRoute, Engine::Leap] {
             let mut other_spec = spec.clone();
             other_spec.engine = engine;
-            let other = run_spec_opts(&other_spec, 8, Some(ObsLevel::Trace), Some(2048));
+            let other = run_spec(&other_spec, 8, &traced(2048));
             assert_eq!(
                 json,
                 other.report.to_json(),
@@ -190,10 +193,10 @@ fn leap_never_jumps_an_arrival_deadline() {
         }
     }
     spec.variant.label = "pois-1".into();
-    let stepped = run_spec_opts(&spec, 12, Some(ObsLevel::Trace), Some(2048));
+    let stepped = run_spec(&spec, 12, &traced(2048));
     let mut leap_spec = spec.clone();
     leap_spec.engine = Engine::Leap;
-    let leaped = run_spec_opts(&leap_spec, 12, Some(ObsLevel::Trace), Some(2048));
+    let leaped = run_spec(&leap_spec, 12, &traced(2048));
     assert_eq!(
         stepped.report.to_json(),
         leaped.report.to_json(),
@@ -213,7 +216,7 @@ fn p99_ladder(specs: &[RunSpec], ops: usize) -> Vec<(u32, u64, f64)> {
     let mut ladder: Vec<(u32, u64, f64)> = specs
         .iter()
         .map(|s| {
-            let r = run_spec(s, ops);
+            let r = run_spec(s, ops, &Overrides::default());
             let sp = r
                 .report
                 .obs
@@ -299,7 +302,7 @@ fn latency_curve_ramps_monotonically_to_a_detected_knee() {
     // the render prints per slot — spread further apart at the top of
     // the ladder than at the bottom.
     let wait_spread = |spec: &RunSpec| -> f64 {
-        let r = run_spec(spec, 60);
+        let r = run_spec(spec, 60, &Overrides::default());
         let obs = r.report.obs.as_deref().expect("obs annex present");
         assert_eq!(obs.inject_wait_slots.len(), 3, "2 tile slots + MC");
         for (i, h) in obs.inject_wait_slots.iter().enumerate() {

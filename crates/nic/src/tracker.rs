@@ -245,6 +245,33 @@ mod tests {
         assert_eq!(order_a, order_b, "global order diverged between nodes");
     }
 
+    // Randomized form of the lockstep check: trackers fed the same
+    // random window stream (6 cores, 0..3 requests each, 1..10 windows)
+    // agree on the full expansion order whether they drain after every
+    // window or only at the end. Fixed-seed `SimRng` loop.
+    #[test]
+    fn trackers_agree_on_random_window_streams() {
+        let mut rng = scorpio_sim::SimRng::seed_from(0x7AC4);
+        for _ in 0..64 {
+            let mut eager = NotificationTracker::new(6, 16);
+            let mut lazy = NotificationTracker::new(6, 16);
+            let mut eager_order = Vec::new();
+            for _ in 0..1 + rng.gen_range_usize(9) {
+                let mut msg = NotifyMsg::new(6, 2);
+                for core in 0..6 {
+                    msg.set_count(core, rng.gen_range_u64(3) as u8);
+                }
+                if msg.is_empty() {
+                    continue;
+                }
+                eager.push_window(msg.clone());
+                lazy.push_window(msg);
+                eager_order.extend(drain(&mut eager));
+            }
+            assert_eq!(eager_order, drain(&mut lazy), "global order diverged");
+        }
+    }
+
     #[test]
     fn stop_threshold_leaves_headroom() {
         let mut t = NotificationTracker::new(4, 3);

@@ -184,6 +184,9 @@ mod tests {
     fn unicast_path_has_hops_length_on_every_topology() {
         for topo in [
             mesh(6, 6),
+            mesh(1, 7),
+            mesh(7, 1),
+            mesh(3, 5),
             Topology::from(Torus::new(5, 4, &[])),
             Topology::from(Ring::new(9, &[])),
         ] {

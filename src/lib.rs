@@ -4,4 +4,6 @@
 //! (`tests/`) and runnable examples (`examples/`); the library surface
 //! lives in the member crates, headlined by [`scorpio`].
 
+#![forbid(unsafe_code)]
+
 pub use scorpio;

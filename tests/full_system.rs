@@ -311,6 +311,53 @@ fn single_writer_multiple_reader_values_propagate() {
     assert_eq!(sys.cores_done(), 4, "a reader never saw the final value");
 }
 
+/// Random write sharing: every core stores to random lines of a small
+/// pool, then loads every line. The run completes every op, and at
+/// quiescence each line has at most one owner among the L2s. Fixed-seed
+/// `SimRng` loop on SCORPIO and the TokenB baseline.
+#[test]
+fn random_write_sharing_keeps_a_single_owner() {
+    for seed in 0..4u64 {
+        for protocol in [Protocol::Scorpio, Protocol::TokenB] {
+            let cfg = SystemConfig::square(2).with_protocol(protocol);
+            let mut rng = scorpio_sim::SimRng::seed_from(seed);
+            let lines: Vec<u64> = (0..4).map(|i| 0x7_0000 + i * 32).collect();
+            let mut traces = vec![Trace::new(); 4];
+            for (c, trace) in traces.iter_mut().enumerate() {
+                for s in 0..12u64 {
+                    trace.push(TraceRecord {
+                        gap: rng.gen_range_u64(4) as u32,
+                        op: TraceOp::Store,
+                        addr: lines[rng.gen_range_usize(lines.len())],
+                        value: (c as u64) << 32 | s,
+                    });
+                }
+                for &addr in &lines {
+                    trace.push(TraceRecord {
+                        gap: 1,
+                        op: TraceOp::Load,
+                        addr,
+                        value: 0,
+                    });
+                }
+            }
+            let mut sys = System::with_traces(cfg, traces);
+            let r = sys.run_to_completion();
+            assert_eq!(r.ops_completed, 4 * (12 + 4), "{protocol:?} seed {seed}");
+            for &addr in &lines {
+                let line = scorpio_coherence::LineAddr(addr);
+                let owners = (0..4)
+                    .filter(|&t| sys.l2(t).line_state(line).is_owner())
+                    .count();
+                assert!(
+                    owners <= 1,
+                    "{protocol:?} seed {seed}: line {addr:#x} has {owners} owners"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn trace_record_gaps_are_respected() {
     // A single core with large gaps: runtime must reflect them.
