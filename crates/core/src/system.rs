@@ -62,14 +62,9 @@ pub struct System {
     /// Stepped-count snapshot at the last completed op (deadlock watchdog).
     watchdog_steps: u64,
     watchdog_ops: u64,
-    /// Cycles actually stepped (ticked or skipped one at a time); with the
-    /// leap engine this lags [`System::cycle`] by the leaped spans.
+    /// Cycles actually stepped (ticked or skipped one at a time); this
+    /// lags [`System::cycle`] by the spans the event-leaping clock jumped.
     stepped: u64,
-    /// Cycles skipped wholesale by the event-leaping clock.
-    leaped: u64,
-    /// When set, [`System::step`] may leap the clock straight to the next
-    /// timed deadline whenever the whole machine is provably idle.
-    leap: bool,
     // ---- Active-set engine state (see DESIGN.md, "wake/sleep protocol").
     /// Tiles/MCs with pending work; drained (in ascending order) each
     /// cycle so `tick_tiles`/`tick_mcs` only touch woken components.
@@ -112,9 +107,9 @@ pub struct System {
     /// Σ over stepped cycles of the active-region count (min 1): the
     /// per-region analogue of [`System::stepped_cycles`]. A region that
     /// provably had nothing woken in a stepped cycle leaps that cycle
-    /// locally — maintained only under `leap` with `regions > 1`; read
-    /// through [`System::region_cycles_stepped`], which falls back to
-    /// `stepped × regions` when the accounting is off.
+    /// locally — maintained by the active-set engine when `regions > 1`;
+    /// read through [`System::region_cycles_stepped`], which falls back to
+    /// `stepped × regions` under always-scan.
     region_cycles_stepped: u64,
     /// When set, tick every tile and MC each cycle and compute
     /// [`System::is_complete`] by full scan — the pre-refactor engine,
@@ -337,8 +332,6 @@ impl System {
             watchdog_steps: 0,
             watchdog_ops: 0,
             stepped: 0,
-            leaped: 0,
-            leap: false,
             tile_active,
             mc_active,
             tile_scratch: Vec::new(),
@@ -397,50 +390,20 @@ impl System {
     }
 
     /// Selects the always-scan engine: probe every tile, MC, router and
-    /// injection port each cycle, and compute [`System::is_complete`] by
-    /// full scan, exactly as the pre-refactor engine did. The active-set
-    /// engine (the default) is required to produce byte-identical
-    /// [`SystemReport`]s — asserted by the engine-equivalence suite — so
-    /// this switch exists to keep that claim testable and the speedup
-    /// measurable. Call before the first cycle.
+    /// injection port each cycle, compute [`System::is_complete`] by full
+    /// scan and never leap the clock, exactly as the pre-refactor engine
+    /// did. The active-set engine (the default) is required to produce
+    /// byte-identical [`SystemReport`]s — asserted by the
+    /// engine-equivalence suite — so this switch exists to keep that claim
+    /// testable and the speedup measurable. Call before the first cycle.
     pub fn set_always_scan(&mut self, scan: bool) {
         self.always_scan = scan;
         self.net.set_always_scan(scan);
     }
 
-    /// Selects how routers route: compiled table lookups (default) or
-    /// per-flit evaluation of the topology's coordinate spec — the
-    /// reference engine the tables are compiled from. Semantics-neutral
-    /// (asserted by the equivalence suite); exists so the table-lookup
-    /// speedup stays measurable (`route-lookup` scenario). Call before the
-    /// first cycle.
-    pub fn set_table_routing(&mut self, tables: bool) {
-        self.net.set_table_routing(tables);
-    }
-
-    /// Enables the event-leaping clock: when every component is provably
-    /// asleep and the only future work is a known timed deadline (a compute
-    /// gap or a scheduled memory response) or a notification window's
-    /// publish tick, [`System::step`] advances the clock straight there
-    /// instead of stepping empty cycles. Live windows no longer pin the
-    /// clock: an announcer whose only obligation is its in-flight
-    /// announcement sleeps (`Nic::can_sleep_leap`), and the window's OR
-    /// state fast-forwards arithmetically to its publish tick
-    /// (`NotifyNetwork::leap_horizon` / `advance`). Exact by construction
-    /// — leaping requires the active sets empty and every plane quiescent,
-    /// states in which a serial cycle is a provable no-op — and asserted
-    /// byte-identical (reports *and* traces) by the equivalence matrix.
-    /// Under a quad notification scheme the engine additionally keeps
-    /// per-region stepped-cycle accounts ([`System::region_cycles_stepped`]).
-    /// Off by default; incompatible with the always-scan reference engine
-    /// (silently inert under it). Call before the first cycle.
-    pub fn set_leap(&mut self, leap: bool) {
-        self.leap = leap;
-    }
-
-    /// Cycles actually executed as steps. Without the leap engine this
-    /// equals [`System::cycle`]; with it, `cycle - stepped_cycles` is the
-    /// span covered by clock leaps.
+    /// Cycles actually executed as steps; `cycle - stepped_cycles` is the
+    /// span covered by clock leaps. Under always-scan, which never leaps,
+    /// this equals [`System::cycle`].
     pub fn stepped_cycles(&self) -> u64 {
         self.stepped
     }
@@ -456,10 +419,10 @@ impl System {
     /// (min 1). Dividing by [`System::regions`] gives the mean per-region
     /// stepped-cycle count, whose ratio to the runtime is the per-region
     /// leap ratio. Without per-region accounting (flat scheme, single
-    /// region, or a non-leap engine) every region steps every stepped
+    /// region, or the always-scan engine) every region steps every stepped
     /// cycle, so this is `stepped_cycles × regions`.
     pub fn region_cycles_stepped(&self) -> u64 {
-        if self.leap && self.regions > 1 {
+        if !self.always_scan && self.regions > 1 {
             self.region_cycles_stepped
         } else {
             self.stepped * self.regions as u64
@@ -498,8 +461,8 @@ impl System {
             // (a sleeping driver is done and cannot complete ops). The
             // watchdog counts *steps* without progress, not raw cycles: a
             // clock leap over a >50k-cycle compute gap is progress-neutral
-            // idleness, not a wedge (without the leap engine the two
-            // measures coincide, every step being one cycle).
+            // idleness, not a wedge (under always-scan the two measures
+            // coincide, every step being one cycle).
             if self.ops_total > self.watchdog_ops {
                 self.watchdog_ops = self.ops_total;
                 self.watchdog_steps = self.stepped;
@@ -514,14 +477,12 @@ impl System {
         self.report()
     }
 
-    /// One full system cycle. With the leap engine enabled and the whole
-    /// machine provably idle, the clock first jumps to just before the
-    /// next timed deadline, so this call may advance [`System::cycle`] by
-    /// more than one.
+    /// One full system cycle. When the whole machine is provably idle,
+    /// the active-set engine's clock first jumps to just before the next
+    /// timed deadline (the event leap), so this call may advance
+    /// [`System::cycle`] by more than one.
     pub fn step(&mut self) {
-        if self.leap {
-            self.try_leap();
-        }
+        self.try_leap();
         self.stepped += 1;
         let now = self.net.cycle();
         self.tick_tiles(now);
@@ -532,23 +493,23 @@ impl System {
             n.tick();
         }
         self.apply_wakes();
-        if self.leap && self.regions > 1 {
+        if !self.always_scan && self.regions > 1 {
             self.account_region_activity();
         }
     }
 
-    /// Per-region stepped-cycle accounting (quad schemes under the leap
-    /// engine): after the cycle's ticks, OR together the regions of every
-    /// component that was on a work list this cycle — drained tiles and
-    /// MCs, plus the delivery fabric's drained routers and injection ports
-    /// on every non-skipped plane — and charge one stepped region-cycle
-    /// per active region (min 1, for pure bookkeeping cycles such as
-    /// notification-window edges). Regions absent from the mask leap the
-    /// cycle locally; they rejoin the global clock deterministically at
-    /// their next timer fire, flit-delivery endpoint wake, or
-    /// window-completion wake-all — the clock-join protocol (DESIGN.md
-    /// §15). Pure accounting: the simulation itself is byte-identical with
-    /// the accounting on or off.
+    /// Per-region stepped-cycle accounting (quad schemes under the
+    /// active-set engine): after the cycle's ticks, OR together the
+    /// regions of every component that was on a work list this cycle —
+    /// drained tiles and MCs, plus the delivery fabric's drained routers
+    /// and injection ports on every non-skipped plane — and charge one
+    /// stepped region-cycle per active region (min 1, for pure
+    /// bookkeeping cycles such as notification-window edges). Regions
+    /// absent from the mask leap the cycle locally; they rejoin the global
+    /// clock deterministically at their next timer fire, flit-delivery
+    /// endpoint wake, or window-completion wake-all — the clock-join
+    /// protocol (DESIGN.md §15). Pure accounting: the simulation itself is
+    /// byte-identical with the accounting on or off.
     fn account_region_activity(&mut self) {
         let mut bits = std::mem::take(&mut self.region_bits);
         bits.iter_mut().for_each(|w| *w = 0);
@@ -569,13 +530,15 @@ impl System {
     }
 
     /// The event leap: if nothing can happen until the earliest timed
-    /// deadline `k`, advance the clock to `k - 1` and let the following
-    /// normal step fire the wake exactly as the serial engine would (timed
-    /// wakes with key `<= cycle` fire at the end of the step that reaches
-    /// them, so the woken component ticks at cycle `k`).
+    /// deadline `k` (a compute gap or a scheduled memory response), advance
+    /// the clock to `k - 1` and let the following normal step fire the
+    /// wake exactly as a cycle-by-cycle clock would (timed wakes with key
+    /// `<= cycle` fire at the end of the step that reaches them, so the
+    /// woken component ticks at cycle `k`). The always-scan reference
+    /// never leaps.
     ///
-    /// The notification network no longer has to be idle: a live window
-    /// whose announcers are all asleep (see `Nic::can_sleep_leap`) bounds
+    /// The notification network need not be idle: a live window whose
+    /// announcers are all asleep (see `Nic::can_sleep`) bounds
     /// the jump instead, via [`NotifyNetwork::leap_horizon`] — the clock
     /// leaps straight to the window's publish tick (or to `k - 1`,
     /// whichever is earlier), and [`NotifyNetwork::advance`] fast-forwards
@@ -597,7 +560,7 @@ impl System {
             (None, None) => return,
         };
         let now = self.net.cycle().as_u64();
-        // Never leap past the run bound: the serial engine would have
+        // Never leap past the run bound: a cycle-by-cycle clock would have
         // stopped stepping at max_cycles with the deadline still pending.
         let target = target.min(self.cfg.max_cycles.saturating_sub(1));
         if target <= now {
@@ -611,7 +574,6 @@ impl System {
         if let Some(n) = self.notify.as_mut() {
             n.advance(delta);
         }
-        self.leaped += delta;
     }
 
     /// Post-cycle wake propagation (active-set engine): endpoints whose
@@ -770,21 +732,15 @@ impl System {
             // Sleep only when every obligation other than the core itself
             // is gone; any future work must then arrive as an ejected
             // flit or a notification window, both of which wake the tile.
-            // Under the leap engine the NIC predicate relaxes: a tile
-            // whose only obligation is an in-flight announcement sleeps
-            // too (its window's publication wakes everyone), which is what
-            // lets the clock leap through live windows. INSO tiles never
-            // sleep: slot expiry is wall-clock driven.
-            let nic_asleep = if self.leap {
-                self.nics[t].can_sleep_leap()
-            } else {
-                self.nics[t].can_sleep()
-            };
+            // A tile whose only obligation is an in-flight announcement
+            // sleeps too (its window's publication wakes everyone), which
+            // is what lets the clock leap through live windows. INSO tiles
+            // never sleep: slot expiry is wall-clock driven.
             let rest_asleep = drained
                 && !matches!(self.cfg.protocol, Protocol::Inso { .. })
                 && self.pending_expiry[t].is_none()
                 && self.l2s[t].outputs_drained()
-                && nic_asleep
+                && self.nics[t].can_sleep()
                 && self.reorders[t].buffered() == 0
                 && !self.net.eject_occupied(t);
             if !rest_asleep {
@@ -887,12 +843,7 @@ impl System {
             // response at a *known* cycle, so it parks on a timed wake at
             // the earliest such deadline. Everything else that could need
             // a tick arrives as an ejected flit, which wakes the endpoint.
-            let nic_asleep = if self.leap {
-                self.nics[ep_idx].can_sleep_leap()
-            } else {
-                self.nics[ep_idx].can_sleep()
-            };
-            let rest_asleep = nic_asleep
+            let rest_asleep = self.nics[ep_idx].can_sleep()
                 && self.reorders[ep_idx].buffered() == 0
                 && !self.net.eject_occupied(ep_idx)
                 && self.mcs[m].peek_out().is_none();

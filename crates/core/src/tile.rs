@@ -156,8 +156,8 @@ impl CoreDriver {
             // Sleep only when truly idle: nothing admitted, nothing in
             // flight, next arrival strictly in the future. The deadline
             // feeds the system's timed-wake heap, which also bounds how
-            // far the leap engine may jump — a leap can never skip a
-            // pending arrival.
+            // far the event-leaping clock may jump — a leap can never
+            // skip a pending arrival.
             if !self.done && self.src_queue.is_empty() && self.outstanding.is_empty() {
                 return self
                     .arrivals

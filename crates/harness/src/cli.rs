@@ -22,7 +22,7 @@
 use std::io::Write;
 use std::time::Instant;
 
-use crate::exec::{run_grid, ExecOptions, RunResult};
+use crate::exec::{run_grid, ExecOptions, Overrides, RunResult};
 use crate::registry;
 use crate::sink::{self, SinkOptions};
 
@@ -207,7 +207,7 @@ fn parse_run(args: &[String]) -> Result<RunOptions, String> {
 }
 
 fn run(opts: &RunOptions) -> i32 {
-    let obs_override = if opts.trace.is_some() {
+    let obs = if opts.trace.is_some() {
         Some(scorpio::ObsLevel::Trace)
     } else if opts.hist {
         Some(scorpio::ObsLevel::Counters)
@@ -218,13 +218,15 @@ fn run(opts: &RunOptions) -> i32 {
         threads: opts.threads.unwrap_or(0),
         ops_per_core: opts.ops.unwrap_or_else(crate::ops_per_core),
         verbose: opts.verbose,
-        obs_override,
-        trace_limit: opts.trace_limit,
-        spans: opts.spans.is_some(),
-        window_cycles: opts
-            .windows
-            .as_ref()
-            .map(|_| opts.window_cycles.unwrap_or(DEFAULT_WINDOW_CYCLES)),
+        overrides: Overrides {
+            obs,
+            trace_limit: opts.trace_limit,
+            spans: opts.spans.is_some(),
+            window_cycles: opts
+                .windows
+                .as_ref()
+                .map(|_| opts.window_cycles.unwrap_or(DEFAULT_WINDOW_CYCLES)),
+        },
     };
     let sink_opts = SinkOptions {
         include_timing: opts.timing,

@@ -34,18 +34,8 @@ pub struct ExecOptions {
     pub ops_per_core: usize,
     /// Emit one progress line per completed run to stderr.
     pub verbose: bool,
-    /// Force an observability level on every run (`--hist` / `--trace`).
-    /// `None` keeps each spec's own level (usually off, or whatever a
-    /// `Knob::Obs` variant set).
-    pub obs_override: Option<ObsLevel>,
-    /// Force the flit-trace cap on every run (`--trace-limit`).
-    pub trace_limit: Option<usize>,
-    /// Force transaction-span recording on every run (`--spans`).
-    pub spans: bool,
-    /// Force windowed telemetry with this epoch length on every run
-    /// (`--windows` / `--window-cycles`). `None` keeps each spec's own
-    /// setting (usually off, or whatever a `Knob::Windows` variant set).
-    pub window_cycles: Option<u64>,
+    /// Config-level overrides applied to every run.
+    pub overrides: Overrides,
 }
 
 impl Default for ExecOptions {
@@ -54,10 +44,7 @@ impl Default for ExecOptions {
             threads: 0,
             ops_per_core: crate::ops_per_core(),
             verbose: false,
-            obs_override: None,
-            trace_limit: None,
-            spans: false,
-            window_cycles: None,
+            overrides: Overrides::default(),
         }
     }
 }
@@ -66,13 +53,17 @@ impl Default for ExecOptions {
 /// before a run; the config hash fingerprints the overridden config.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Overrides {
-    /// Force an observability level (`--hist` / `--trace`).
+    /// Force an observability level (`--hist` / `--trace`). `None` keeps
+    /// each spec's own level (usually off, or whatever a `Knob::Obs`
+    /// variant set).
     pub obs: Option<ObsLevel>,
     /// Force the flit-trace cap (`--trace-limit`).
     pub trace_limit: Option<usize>,
     /// Force transaction-span recording (`--spans`).
     pub spans: bool,
-    /// Force windowed telemetry with this epoch length (`--windows`).
+    /// Force windowed telemetry with this epoch length (`--windows` /
+    /// `--window-cycles`). `None` keeps each spec's own setting (usually
+    /// off, or whatever a `Knob::Windows` variant set).
     pub window_cycles: Option<u64>,
 }
 
@@ -106,16 +97,18 @@ pub struct RunResult {
     /// Simulation phase (`run_to_completion` only) — the denominator of
     /// the simulated-cycles-per-second throughput metric.
     pub sim_nanos: u128,
-    /// Cycles the engine actually stepped. Equals `report.runtime_cycles`
-    /// unless the leap engine jumped idle spans; the gap is the leap
-    /// ratio the timing sinks report.
+    /// Cycles the engine actually stepped (see
+    /// [`scorpio::System::stepped_cycles`]): every simulated cycle under
+    /// always-scan, fewer under the active-set engine, whose clock leaps
+    /// provably idle spans. `report.runtime_cycles / stepped_cycles` is the
+    /// leap ratio the timing sinks report.
     pub stepped_cycles: u64,
     /// Per-region leap domains (leaf quads of a hierarchical notification
     /// tree); 1 for the flat scheme and for baselines.
     pub regions: usize,
     /// Σ over stepped cycles of the active-region count (see
     /// [`scorpio::System::region_cycles_stepped`]); `stepped × regions`
-    /// when per-region accounting is off.
+    /// under always-scan, which keeps no per-region accounts.
     pub region_cycles_stepped: u64,
     /// Rendered flit-trace events (one JSON object per event, in
     /// deterministic merge order) when the run traced; `None` otherwise.
@@ -133,23 +126,10 @@ pub struct RunResult {
 }
 
 /// Runs one spec to completion under its own engine, with `ov` applied on
-/// top of the spec's own configuration.
+/// top of the spec's own configuration, and collects whichever
+/// deterministic streams the final configuration enabled (flit trace,
+/// transaction spans, window rows).
 pub fn run_spec(spec: &RunSpec, ops_per_core: usize, ov: &Overrides) -> RunResult {
-    run_spec_with(spec, ops_per_core, ov, |_| {})
-}
-
-/// The executor core: applies every override, selects the spec's engine,
-/// applies `tweak` before the first cycle, runs the spec, and collects
-/// whichever deterministic streams the final configuration enabled (flit
-/// trace, transaction spans, window rows). The equivalence matrix uses
-/// the tweak to switch the event-leaping clock on over the reference
-/// engines, combinations the [`Engine`] axis does not name.
-pub fn run_spec_with(
-    spec: &RunSpec,
-    ops_per_core: usize,
-    ov: &Overrides,
-    tweak: impl FnOnce(&mut System),
-) -> RunResult {
     let mut cfg = spec.config();
     if let Some(level) = ov.obs {
         cfg = cfg.with_obs(level);
@@ -174,13 +154,7 @@ pub fn run_spec_with(
     let started = Instant::now();
     let traces = generate(&params, cfg.cores(), cfg.seed);
     let mut sys = System::with_traces(cfg, traces);
-    match spec.engine {
-        Engine::ActiveSet => {}
-        Engine::AlwaysScan => sys.set_always_scan(true),
-        Engine::CoordRoute => sys.set_table_routing(false),
-        Engine::Leap => sys.set_leap(true),
-    }
-    tweak(&mut sys);
+    sys.set_always_scan(spec.engine == Engine::AlwaysScan);
     let setup_nanos = started.elapsed().as_nanos();
     let sim_started = Instant::now();
     let report = sys.run_to_completion();
@@ -235,17 +209,12 @@ pub fn run_specs(specs: &[RunSpec], opts: &ExecOptions) -> Vec<RunResult> {
         return Vec::new();
     }
     let workers = opts.effective_threads().clamp(1, n);
-    let ov = Overrides {
-        obs: opts.obs_override,
-        trace_limit: opts.trace_limit,
-        spans: opts.spans,
-        window_cycles: opts.window_cycles,
-    };
+    let ov = &opts.overrides;
     if workers == 1 {
         return specs
             .iter()
             .map(|s| {
-                let r = run_spec(s, opts.ops_per_core, &ov);
+                let r = run_spec(s, opts.ops_per_core, ov);
                 if opts.verbose {
                     eprintln!(
                         "[harness] {} -> {} cycles",
@@ -289,7 +258,7 @@ pub fn run_specs(specs: &[RunSpec], opts: &ExecOptions) -> Vec<RunResult> {
                         .find_map(|v| queues[v].lock().unwrap().pop_back())
                 });
                 let Some(i) = job else { break };
-                let r = run_spec(&specs[i], opts.ops_per_core, &ov);
+                let r = run_spec(&specs[i], opts.ops_per_core, ov);
                 if opts.verbose {
                     eprintln!(
                         "[harness] {} -> {} cycles (worker {w})",

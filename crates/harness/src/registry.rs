@@ -48,8 +48,6 @@ pub fn scenarios() -> Vec<Scenario> {
         throughput("throughput-small", 8),
         topology("topology", 6),
         topology("topology-small", 4),
-        route_lookup("route-lookup", 12),
-        route_lookup("route-lookup-small", 6),
         obs_overhead("obs-overhead", 12),
         obs_overhead("obs-overhead-small", 6),
         latency_breakdown("latency-breakdown", 8),
@@ -767,7 +765,6 @@ fn throughput_render(s: &Scenario, results: &[RunResult]) -> String {
             let (slot, label) = match r.spec.engine {
                 Engine::ActiveSet => (0, "active"),
                 Engine::AlwaysScan => (1, "scan"),
-                _ => continue,
             };
             rates[slot] = rate(r);
             out.push_str(&format!(
@@ -829,13 +826,12 @@ fn kilocore_small_filter(spec: &RunSpec) -> bool {
 
 /// Kilocore scale-out self-benchmark: the low-injection barrier workload
 /// on a 32×32 mesh (1024 cores, proportional MCs), its concentrated twin
-/// `cmesh16x16x4`, and a 4-plane `cmesh8x8x4` composition — each under
-/// the plain active-set engine and the event-leaping clock, and each with
-/// the flat notification scheme and the hierarchical quad tree
-/// (`quad-f2`, which shrinks the notification window from O(grid
-/// diameter) to O(2·tree depth) and unlocks per-region leap accounting).
-/// Both engines produce byte-identical reports (equivalence matrix); the
-/// table measures what the leap and the quad window buy at this scale.
+/// `cmesh16x16x4`, and a 4-plane `cmesh8x8x4` composition — each with the
+/// flat notification scheme and the hierarchical quad tree (`quad-f2`,
+/// which shrinks the notification window from O(grid diameter) to
+/// O(2·tree depth) and unlocks per-region leap accounting). The table
+/// measures what the active-set engine's event-leaping clock and the quad
+/// window buy at this scale.
 fn scaling_kilocore(name: &'static str, meshes: &'static [u16], filter: GridFilter) -> Scenario {
     Scenario {
         name,
@@ -843,12 +839,11 @@ fn scaling_kilocore(name: &'static str, meshes: &'static [u16], filter: GridFilt
             "Scaling-kilocore — engine scale-out at {} cores (event-leaping clock)",
             meshes.last().map_or(0, |&k| k as usize * k as usize)
         ),
-        about: "Kilocore self-benchmark: active-set vs leap, flat vs quad notify",
+        about: "Kilocore self-benchmark: event leaping, flat vs quad notify",
         grid: SweepGrid::over(vec![uniform_low()])
             .meshes(meshes)
             .fabrics(&[Fabric::Mesh, Fabric::CMesh(4)])
             .planes(&[1, 4])
-            .engines(&[Engine::ActiveSet, Engine::Leap])
             .variants(vec![
                 Variant::new("prop-MCs", vec![Knob::ProportionalMcs]),
                 Variant::new(
@@ -880,104 +875,46 @@ fn scaling_kilocore_render(s: &Scenario, results: &[RunResult]) -> String {
     let mut out = String::new();
     out.push_str(&format!("=== {} ===\n", s.title));
     out.push_str(&format!(
-        "{:<16}{:>7}{:>9}{:>8}{:>12}{:>12}{:>10}{:>10}{:>14}{:>10}\n",
-        "geometry",
-        "planes",
-        "notify",
-        "engine",
-        "runtime",
-        "stepped",
-        "leap",
-        "r-leap",
-        "sim cyc/sec",
-        "speedup"
+        "{:<16}{:>7}{:>9}{:>12}{:>12}{:>10}{:>10}{:>14}\n",
+        "geometry", "planes", "notify", "runtime", "stepped", "leap", "r-leap", "sim cyc/sec"
     ));
-    let rate = |r: &RunResult| -> f64 {
+    for r in results {
         let secs = r.sim_nanos as f64 / 1e9;
-        if secs > 0.0 {
+        let rate = if secs > 0.0 {
             r.report.runtime_cycles as f64 / secs
         } else {
             0.0
-        }
-    };
-    // Group rows by cell (geometry + planes + notification scheme); the
-    // speedup column is each engine's rate over the active-set engine on
-    // the same cell.
-    let mut cells: Vec<(u16, Fabric, usize, String)> = Vec::new();
-    for r in results {
-        let cell = (
-            r.spec.mesh_side,
-            r.spec.fabric,
+        };
+        let leap = if r.stepped_cycles > 0 {
+            format!(
+                "{:>9.2}x",
+                r.report.runtime_cycles as f64 / r.stepped_cycles as f64
+            )
+        } else {
+            format!("{:>10}", "-")
+        };
+        // Per-region leap: simulated cycles over mean stepped cycles per
+        // region — what event leaping buys once a quiescent quad no longer
+        // has to lockstep with a bursting neighbour.
+        let rleap = if r.regions > 1 && r.region_cycles_stepped > 0 {
+            format!(
+                "{:>9.2}x",
+                r.report.runtime_cycles as f64 * r.regions as f64 / r.region_cycles_stepped as f64
+            )
+        } else {
+            format!("{:>10}", "-")
+        };
+        out.push_str(&format!(
+            "{:<16}{:>7}{:>9}{:>12}{:>12}{leap}{rleap}{rate:>14.0}\n",
+            r.spec.fabric.geometry(r.spec.mesh_side),
             r.spec.planes,
             kilocore_notify_label(&r.spec),
-        );
-        if !cells.contains(&cell) {
-            cells.push(cell);
-        }
+            r.report.runtime_cycles,
+            r.stepped_cycles,
+        ));
     }
-    for (k, fabric, planes, notify) in cells {
-        let base = results
-            .iter()
-            .find(|r| {
-                r.spec.mesh_side == k
-                    && r.spec.fabric == fabric
-                    && r.spec.planes == planes
-                    && kilocore_notify_label(&r.spec) == notify
-                    && r.spec.engine == Engine::ActiveSet
-            })
-            .map_or(0.0, rate);
-        for r in results.iter().filter(|r| {
-            r.spec.mesh_side == k
-                && r.spec.fabric == fabric
-                && r.spec.planes == planes
-                && kilocore_notify_label(&r.spec) == notify
-        }) {
-            let engine = match r.spec.engine.label() {
-                "" => "active",
-                label => label,
-            };
-            let leap = if r.stepped_cycles > 0 {
-                format!(
-                    "{:>9.2}x",
-                    r.report.runtime_cycles as f64 / r.stepped_cycles as f64
-                )
-            } else {
-                format!("{:>10}", "-")
-            };
-            // Per-region leap: simulated cycles over mean stepped cycles
-            // per region — what event leaping buys once a quiescent quad
-            // no longer has to lockstep with a bursting neighbour.
-            let rleap = if r.regions > 1 && r.region_cycles_stepped > 0 {
-                format!(
-                    "{:>9.2}x",
-                    r.report.runtime_cycles as f64 * r.regions as f64
-                        / r.region_cycles_stepped as f64
-                )
-            } else {
-                format!("{:>10}", "-")
-            };
-            out.push_str(&format!(
-                "{:<16}{:>7}{:>9}{:>8}{:>12}{:>12}{leap}{rleap}{:>14.0}{speedup}\n",
-                fabric.geometry(k),
-                planes,
-                notify,
-                engine,
-                r.report.runtime_cycles,
-                r.stepped_cycles,
-                rate(r),
-                speedup = if base > 0.0 && rate(r) > 0.0 {
-                    format!("{:>9.2}x", rate(r) / base)
-                } else {
-                    format!("{:>10}", "-")
-                },
-            ));
-        }
-    }
-    out.push_str("\nAll engines produce byte-identical reports and traces (the\n");
-    out.push_str("equivalence matrix asserts this); leap is simulated/stepped\n");
-    out.push_str("cycles, r-leap is simulated cycles over mean stepped cycles\n");
-    out.push_str("per leaf quad (quad notify only), speedup is sim-cycles/sec\n");
-    out.push_str("over the active-set engine on the same cell.\n");
+    out.push_str("\nleap is simulated/stepped cycles, r-leap is simulated cycles\n");
+    out.push_str("over mean stepped cycles per leaf quad (quad notify only).\n");
     out
 }
 
@@ -1038,75 +975,6 @@ fn topology_render(s: &Scenario, results: &[RunResult]) -> String {
     }
     out.push_str("\nMatched endpoint counts per row block; ordering is decoupled\n");
     out.push_str("from delivery, so every fabric carries every protocol.\n");
-    out
-}
-
-// ------------------------------------- Route-lookup self-benchmark
-
-/// Simulator self-benchmark: the identical sweep with table-lookup routing
-/// (default) vs per-flit coordinate-spec routing, so the table win is
-/// *measured* on every run. Reports are byte-identical across the two
-/// (engine-equivalence suite); only wall-clock differs.
-fn route_lookup(name: &'static str, mesh: u16) -> Scenario {
-    Scenario {
-        name,
-        title: format!("Route-lookup — table routing vs per-flit coordinate math ({mesh}x{mesh})"),
-        about: "Routing self-benchmark: compiled tables vs coordinate math",
-        grid: SweepGrid::over(vec![uniform_med()])
-            .meshes(&[mesh])
-            .engines(&[Engine::ActiveSet, Engine::CoordRoute]),
-        render: route_lookup_render,
-    }
-}
-
-fn route_lookup_render(s: &Scenario, results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("=== {} ===\n", s.title));
-    out.push_str(&format!(
-        "{:<14}{:>8}{:>12}{:>12}{:>14}{:>16}\n",
-        "workload", "routing", "runtime", "wall (ms)", "sim cyc/sec", "speedup"
-    ));
-    let rate = |r: &RunResult| -> f64 {
-        let secs = r.wall_nanos as f64 / 1e9;
-        if secs > 0.0 {
-            r.report.runtime_cycles as f64 / secs
-        } else {
-            0.0
-        }
-    };
-    for w in &s.grid.workloads {
-        let mut rates = [0.0f64; 2];
-        for r in results.iter().filter(|r| r.spec.workload.name == w.name) {
-            let (slot, label) = match r.spec.engine {
-                Engine::ActiveSet => (0, "tables"),
-                Engine::CoordRoute => (1, "coord"),
-                _ => continue,
-            };
-            rates[slot] = rate(r);
-            out.push_str(&format!(
-                "{:<14}{:>8}{:>12}{:>12.1}{:>14.0}{:>16}\n",
-                w.name,
-                label,
-                r.report.runtime_cycles,
-                r.wall_nanos as f64 / 1e6,
-                rates[slot],
-                "",
-            ));
-        }
-        if rates[1] > 0.0 {
-            out.push_str(&format!(
-                "{:<14}{:>8}{:>12}{:>12}{:>14}{:>15.2}x\n",
-                w.name,
-                "",
-                "",
-                "",
-                "",
-                rates[0] / rates[1]
-            ));
-        }
-    }
-    out.push_str("\nBoth routings produce byte-identical reports (equivalence\n");
-    out.push_str("suite); only wall-clock differs.\n");
     out
 }
 
@@ -1956,17 +1824,6 @@ mod tests {
         for spec in topo.grid.enumerate() {
             assert_eq!(spec.config().mesh.endpoint_count(), 4 * 4 + 4);
         }
-        // Route-lookup sweeps tables vs coordinate math on one workload.
-        let rl = by_name("route-lookup").unwrap();
-        let specs = rl.grid.enumerate();
-        assert_eq!(specs.len(), 2);
-        assert_eq!(specs[0].engine, Engine::ActiveSet);
-        assert_eq!(specs[1].engine, Engine::CoordRoute);
-        assert_eq!(
-            specs[0].config().stable_hash(),
-            specs[1].config().stable_hash()
-        );
-        assert!(specs[1].key().ends_with("/coord"));
     }
 
     #[test]

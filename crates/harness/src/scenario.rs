@@ -291,26 +291,20 @@ impl Variant {
     }
 }
 
-/// Which simulation engine a run uses. All engines produce byte-identical
+/// Which simulation engine a run uses. Both engines produce byte-identical
 /// [`scorpio::SystemReport`]s (asserted by the engine-equivalence suite);
-/// only wall-clock speed differs, which is what the `throughput` and
-/// `route-lookup` self-benchmarks measure.
+/// only wall-clock speed differs, which is what the `throughput`
+/// self-benchmark measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The active-set engine (default): only components with pending work
-    /// are ticked each cycle; routing is compiled-table lookup.
+    /// are ticked each cycle, and the clock leaps straight over spans in
+    /// which the whole machine is provably idle.
     #[default]
     ActiveSet,
     /// The always-scan reference engine: every tile, MC, router and
-    /// injection port is probed every cycle.
+    /// injection port is probed every cycle, and every cycle is stepped.
     AlwaysScan,
-    /// The coordinate-routing reference engine: active-set scheduling, but
-    /// routers evaluate the topology's coordinate spec per flit instead of
-    /// reading the compiled tables.
-    CoordRoute,
-    /// The active-set engine plus the event-leaping clock: whole-machine
-    /// idle spans are jumped rather than stepped.
-    Leap,
 }
 
 impl Engine {
@@ -320,8 +314,6 @@ impl Engine {
         match self {
             Engine::ActiveSet => "",
             Engine::AlwaysScan => "scan",
-            Engine::CoordRoute => "coord",
-            Engine::Leap => "leap",
         }
     }
 }
@@ -708,7 +700,7 @@ impl RunSpec {
     /// single-plane mesh keys are unchanged from before the engine, fabric
     /// and plane axes existed; other fabrics change the geometry segment
     /// (`torus4x4`, `ring16`), multiple planes extend it (`8x8+4pl`), and
-    /// non-default engines append a suffix (`/scan`, `/coord`).
+    /// the always-scan engine appends `/scan`.
     pub fn key(&self) -> String {
         let engine = match self.engine.label() {
             "" => String::new(),
@@ -841,13 +833,14 @@ mod tests {
     }
 
     #[test]
-    fn coord_engine_suffixes_keys_and_shares_config() {
+    fn scan_engine_suffixes_keys_and_shares_config() {
         let g = SweepGrid::over(vec![WorkloadParams::by_name("lu").unwrap()])
             .meshes(&[2])
-            .engines(&[Engine::ActiveSet, Engine::CoordRoute]);
+            .engines(&[Engine::ActiveSet, Engine::AlwaysScan]);
         let specs = g.enumerate();
         assert_eq!(specs.len(), 2);
-        assert!(specs[1].key().ends_with("/coord"));
+        assert!(!specs[0].key().ends_with("/scan"));
+        assert!(specs[1].key().ends_with("/scan"));
         assert_eq!(
             specs[0].config().stable_hash(),
             specs[1].config().stable_hash()

@@ -2,7 +2,7 @@
 //! only on (scenario, seeds, ops-per-core) — never on worker count,
 //! scheduling, or completion order.
 
-use scorpio_harness::exec::{run_grid, ExecOptions};
+use scorpio_harness::exec::{run_grid, ExecOptions, Overrides};
 use scorpio_harness::registry;
 use scorpio_harness::sink::{self, SinkOptions};
 use std::collections::HashSet;
@@ -83,8 +83,11 @@ fn observability_output_is_thread_count_invariant() {
     let o = |threads| ExecOptions {
         threads,
         ops_per_core: 10,
-        obs_override: Some(scorpio::ObsLevel::Trace),
-        trace_limit: Some(4096),
+        overrides: Overrides {
+            obs: Some(scorpio::ObsLevel::Trace),
+            trace_limit: Some(4096),
+            ..Overrides::default()
+        },
         ..ExecOptions::default()
     };
     let hist = SinkOptions {

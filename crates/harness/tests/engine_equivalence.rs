@@ -3,10 +3,12 @@
 //! [`scorpio::SystemReport`] to the forced always-scan engine — across
 //! every ordering protocol, since each protocol exercises different
 //! wake/sleep paths (notification windows, reorder buffers, expiry
-//! broadcasts, directory homes).
+//! broadcasts, directory homes). The active-set engine leaps its clock
+//! over provably idle spans and the always-scan reference steps every
+//! cycle, so the same comparison also holds the event leap exact.
 
 use scorpio::ObsLevel;
-use scorpio_harness::exec::{run_spec, run_spec_with, Overrides, RunResult};
+use scorpio_harness::exec::{run_spec, Overrides, RunResult};
 use scorpio_harness::registry;
 use scorpio_harness::{Engine, Knob, RunSpec};
 
@@ -19,12 +21,38 @@ fn traced(limit: usize) -> Overrides {
     }
 }
 
-/// Runs `spec` on the base `engine` with the event-leaping clock on or
-/// off, recording the flit trace.
-fn run_leap(spec: &RunSpec, engine: Engine, leap: bool) -> RunResult {
-    let mut spec = spec.clone();
-    spec.engine = engine;
-    run_spec_with(&spec, 13, &traced(1024), |sys| sys.set_leap(leap))
+/// Runs `spec` under always-scan, which steps every cycle, and asserts
+/// that its report, trace and config hash equal the default-engine run
+/// `active` made with the same `ops` and `ov`. Returns the scan run.
+fn assert_scan_matches(
+    spec: &RunSpec,
+    active: &RunResult,
+    ops: usize,
+    ov: &Overrides,
+) -> RunResult {
+    let mut scan_spec = spec.clone();
+    scan_spec.engine = Engine::AlwaysScan;
+    let scan = run_spec(&scan_spec, ops, ov);
+    let key = spec.key();
+    assert_eq!(
+        active.report.to_json(),
+        scan.report.to_json(),
+        "engine divergence at {key}"
+    );
+    assert_eq!(active.trace, scan.trace, "trace divergence at {key}");
+    assert_eq!(active.trace_dropped, scan.trace_dropped);
+    assert_eq!(active.config_hash, scan.config_hash);
+    scan
+}
+
+/// Runs `spec` under the default (leaping) engine and under always-scan,
+/// recording the flit trace (capped at `limit` events), and asserts
+/// byte-identical reports and traces. Returns `(active, scan)`.
+fn leap_vs_scan(spec: &RunSpec, ops: usize, limit: usize) -> (RunResult, RunResult) {
+    assert_eq!(spec.engine, Engine::ActiveSet);
+    let active = run_spec(spec, ops, &traced(limit));
+    let scan = assert_scan_matches(spec, &active, ops, &traced(limit));
+    (active, scan)
 }
 
 /// Golden equivalence on the fig7-small grid: SCORPIO, TokenB, INSO-40,
@@ -36,25 +64,15 @@ fn fig7_small_reports_are_byte_identical_across_engines() {
     assert_eq!(specs.len(), 10, "2 workloads x 5 protocols");
     for spec in specs {
         assert_eq!(spec.engine, Engine::ActiveSet);
-        let mut scan_spec = spec.clone();
-        scan_spec.engine = Engine::AlwaysScan;
         let active = run_spec(&spec, 12, &Overrides::default());
-        let scan = run_spec(&scan_spec, 12, &Overrides::default());
-        assert_eq!(
-            active.report.to_json(),
-            scan.report.to_json(),
-            "engine divergence at {}",
-            spec.key()
-        );
-        assert_eq!(active.config_hash, scan.config_hash);
+        assert_scan_matches(&spec, &active, 12, &Overrides::default());
     }
 }
 
-/// The new axis: every delivery fabric (mesh, torus, ring) under every
-/// ordering protocol must produce byte-identical reports across all three
-/// engines — active-set vs always-scan (scheduling is semantics-neutral)
-/// and table routing vs per-flit coordinate routing (the tables are the
-/// spec, memoized).
+/// Every delivery fabric (mesh, torus, ring) under every ordering
+/// protocol must produce byte-identical reports under both engines.
+/// Routing tables are held to the coordinate spec they are compiled from
+/// by the noc crate's `tables_match_the_spec_everywhere`.
 #[test]
 fn topology_small_reports_are_byte_identical_across_engines() {
     let scenario = registry::by_name("topology-small").expect("topology-small is registered");
@@ -68,26 +86,14 @@ fn topology_small_reports_are_byte_identical_across_engines() {
     for spec in specs {
         assert_eq!(spec.engine, Engine::ActiveSet);
         let active = run_spec(&spec, 8, &Overrides::default());
-        for engine in [Engine::AlwaysScan, Engine::CoordRoute] {
-            let mut other_spec = spec.clone();
-            other_spec.engine = engine;
-            let other = run_spec(&other_spec, 8, &Overrides::default());
-            assert_eq!(
-                active.report.to_json(),
-                other.report.to_json(),
-                "engine divergence at {} vs {engine:?}",
-                spec.key()
-            );
-            assert_eq!(active.config_hash, other.config_hash);
-        }
+        assert_scan_matches(&spec, &active, 8, &Overrides::default());
     }
 }
 
 /// The plane axis: multi-plane main networks (2 and 4 planes, every
-/// fabric) must produce byte-identical reports across all three engines.
-/// This covers the idle-plane skip (the always-scan engine never skips a
-/// plane, the active-set engine skips every quiescent one) and table vs
-/// coordinate routing inside each plane.
+/// fabric) must produce byte-identical reports under both engines. This
+/// covers the idle-plane skip (the always-scan engine never skips a
+/// plane, the active-set engine skips every quiescent one).
 #[test]
 fn multi_plane_reports_are_byte_identical_across_engines() {
     let scenario = registry::by_name("planes-small").expect("planes-small is registered");
@@ -102,28 +108,16 @@ fn multi_plane_reports_are_byte_identical_across_engines() {
         assert_eq!(spec.engine, Engine::ActiveSet);
         let active = run_spec(&spec, 8, &Overrides::default());
         assert!(active.report.ops_completed > 0);
-        for engine in [Engine::AlwaysScan, Engine::CoordRoute] {
-            let mut other_spec = spec.clone();
-            other_spec.engine = engine;
-            let other = run_spec(&other_spec, 8, &Overrides::default());
-            assert_eq!(
-                active.report.to_json(),
-                other.report.to_json(),
-                "engine divergence at {} vs {engine:?}",
-                spec.key()
-            );
-            assert_eq!(active.config_hash, other.config_hash);
-        }
+        assert_scan_matches(&spec, &active, 8, &Overrides::default());
     }
 }
 
 /// The concentrated-mesh axis: every concentration (1/2/4 tiles per
 /// router), single- and multi-plane, must produce byte-identical reports
-/// across all three engines. This exercises the endpoint-indexed broadcast
+/// under both engines. This exercises the endpoint-indexed broadcast
 /// tables (source-slot-dependent fork masks), the per-slot ESID views and
-/// the higher-radix router arbitration under both scheduling engines and
-/// both routing engines — and SCORPIO's 2-plane cells cover the
-/// cmesh × planes composition.
+/// the higher-radix router arbitration under both scheduling engines —
+/// and SCORPIO's 2-plane cells cover the cmesh × planes composition.
 #[test]
 fn cmesh_reports_are_byte_identical_across_engines() {
     let scenario = registry::by_name("cmesh-small").expect("cmesh-small is registered");
@@ -143,18 +137,7 @@ fn cmesh_reports_are_byte_identical_across_engines() {
         assert_eq!(spec.engine, Engine::ActiveSet);
         let active = run_spec(&spec, 8, &Overrides::default());
         assert!(active.report.ops_completed > 0);
-        for engine in [Engine::AlwaysScan, Engine::CoordRoute] {
-            let mut other_spec = spec.clone();
-            other_spec.engine = engine;
-            let other = run_spec(&other_spec, 8, &Overrides::default());
-            assert_eq!(
-                active.report.to_json(),
-                other.report.to_json(),
-                "engine divergence at {} vs {engine:?}",
-                spec.key()
-            );
-            assert_eq!(active.config_hash, other.config_hash);
-        }
+        assert_scan_matches(&spec, &active, 8, &Overrides::default());
     }
 }
 
@@ -162,7 +145,7 @@ fn cmesh_reports_are_byte_identical_across_engines() {
 /// tracing on (counters, histograms and the flit-event stream), the
 /// report — now carrying the `"obs"` annex with its percentiles, stall
 /// splits and per-plane counters — and the merged trace itself must be
-/// byte-identical across all three engines. Every hook sits after the
+/// byte-identical under both engines. Every hook sits after the
 /// shared idle-skip check, so an engine that never visits a quiescent
 /// router and one that visits-and-skips it must record the same thing.
 /// Grid points cover single-plane mesh (fig7-small, all 5 protocols on
@@ -192,33 +175,16 @@ fn observability_reports_and_traces_are_byte_identical_across_engines() {
     assert!(specs.len() > 5 + 3, "plane and cmesh cells present");
     for spec in specs {
         assert_eq!(spec.engine, Engine::ActiveSet);
-        let run = |s: &RunSpec| run_spec(s, 8, &traced(2048));
-        let active = run(&spec);
-        let json = active.report.to_json();
+        let active = run_spec(&spec, 8, &traced(2048));
         assert!(
-            json.contains(r#""obs":{"schema_version":3,"packet_latency""#),
+            active
+                .report
+                .to_json()
+                .contains(r#""obs":{"schema_version":3,"packet_latency""#),
             "obs annex missing at {}",
             spec.key()
         );
-        for engine in [Engine::AlwaysScan, Engine::CoordRoute] {
-            let mut other_spec = spec.clone();
-            other_spec.engine = engine;
-            let other = run(&other_spec);
-            assert_eq!(
-                json,
-                other.report.to_json(),
-                "obs report divergence at {} vs {engine:?}",
-                spec.key()
-            );
-            assert_eq!(
-                active.trace,
-                other.trace,
-                "trace divergence at {} vs {engine:?}",
-                spec.key()
-            );
-            assert_eq!(active.trace_dropped, other.trace_dropped);
-            assert_eq!(active.config_hash, other.config_hash);
-        }
+        assert_scan_matches(&spec, &active, 8, &traced(2048));
     }
 }
 
@@ -248,145 +214,90 @@ fn four_planes_deliver_1_5x_throughput_on_a_saturated_mesh() {
     );
 }
 
-/// The event-leaping clock is a pure optimisation on top of whichever
-/// base engine runs: {leap on/off} over all three pre-existing engines
-/// must produce byte-identical reports AND merged flit traces on a
-/// phased low-injection point (the regime where the leap actually fires
-/// and crosses whole compute gaps in one step).
-#[test]
-fn leap_matrix_is_byte_identical_including_traces() {
+/// The 8×8 phased low-injection point of `scaling-mesh-small` — the
+/// regime where the event leap actually fires and crosses whole compute
+/// gaps in one step.
+fn phased_point() -> RunSpec {
     let scenario = registry::by_name("scaling-mesh-small").expect("registered");
-    let spec = scenario
+    scenario
         .grid
         .enumerate()
         .into_iter()
         .find(|s| s.mesh_side == 8 && s.workload.name == "uniform-low")
-        .expect("8x8 uniform-low point exists");
-    for engine in [Engine::ActiveSet, Engine::AlwaysScan, Engine::CoordRoute] {
-        let baseline = run_leap(&spec, engine, false);
-        assert!(
-            baseline.report.runtime_cycles > 40_000,
-            "phased gap missing"
-        );
-        let leaped = run_leap(&spec, engine, true);
-        assert_eq!(
-            baseline.report.to_json(),
-            leaped.report.to_json(),
-            "report divergence: {engine:?} leap"
-        );
-        assert_eq!(
-            baseline.trace, leaped.trace,
-            "trace divergence: {engine:?} leap"
-        );
-        assert_eq!(baseline.trace_dropped, leaped.trace_dropped);
-        // The leap really fired (except under always-scan, whose guard
-        // disables it — nothing is quiescent to skip).
-        if engine != Engine::AlwaysScan {
-            assert!(
-                leaped.stepped_cycles < baseline.stepped_cycles / 2,
-                "{engine:?}: leap never fired ({} of {} cycles stepped)",
-                leaped.stepped_cycles,
-                baseline.stepped_cycles
-            );
-        }
-    }
+        .expect("8x8 uniform-low point exists")
+}
+
+/// `spec` under the hierarchical quad notification tree of fanout `f`.
+fn with_quad(mut spec: RunSpec, f: u8) -> RunSpec {
+    spec.variant.label = format!("{}+quad-f{f}", spec.variant.label);
+    spec.variant.knobs.push(Knob::QuadNotify(f));
+    spec
+}
+
+/// The event-leaping clock is a pure optimisation: the default engine,
+/// which leaps, must produce byte-identical reports AND merged flit
+/// traces to the always-scan reference, which steps every cycle, on a
+/// phased low-injection point — and the leap must really fire there.
+#[test]
+fn leap_matrix_is_byte_identical_including_traces() {
+    let (active, scan) = leap_vs_scan(&phased_point(), 13, 1024);
+    assert!(scan.report.runtime_cycles > 40_000, "phased gap missing");
+    assert!(
+        active.stepped_cycles < scan.stepped_cycles / 2,
+        "leap never fired ({} of {} cycles stepped)",
+        active.stepped_cycles,
+        scan.stepped_cycles
+    );
 }
 
 /// The hierarchical notification scheme composes with the leaping clock:
-/// under the quad-f2 window the same {leap on/off} matrix over all three
-/// base engines must again be byte-identical in reports AND merged flit
-/// traces. This is the quad row of the `{flat, quad} × leap × engines`
-/// matrix (the flat row is `leap_matrix_is_byte_identical_including_traces`
-/// above). The two schemes are deliberately *not* compared to each other
-/// — the quad tree shortens the notification window, so it is a
-/// different (hash-visible) machine.
+/// under the quad-f2 window the default engine must again match
+/// always-scan byte for byte in reports AND merged flit traces. This is
+/// the quad row of the `{flat, quad} × engines` matrix (the flat row is
+/// `leap_matrix_is_byte_identical_including_traces` above). The two
+/// schemes are deliberately *not* compared to each other — the quad tree
+/// shortens the notification window, so it is a different (hash-visible)
+/// machine.
 #[test]
 fn quad_notify_matrix_is_byte_identical_including_traces() {
-    let scenario = registry::by_name("scaling-mesh-small").expect("registered");
-    let mut spec = scenario
-        .grid
-        .enumerate()
-        .into_iter()
-        .find(|s| s.mesh_side == 8 && s.workload.name == "uniform-low")
-        .expect("8x8 uniform-low point exists");
-    spec.variant.label = format!("{}+quad-f2", spec.variant.label);
-    spec.variant.knobs.push(Knob::QuadNotify(2));
-    for engine in [Engine::ActiveSet, Engine::AlwaysScan, Engine::CoordRoute] {
-        let baseline = run_leap(&spec, engine, false);
-        assert!(baseline.regions > 1, "quad scheme did not partition");
-        assert!(
-            baseline.report.runtime_cycles > 40_000,
-            "phased gap missing"
-        );
-        let leaped = run_leap(&spec, engine, true);
-        assert_eq!(
-            baseline.report.to_json(),
-            leaped.report.to_json(),
-            "report divergence: quad-f2 {engine:?} leap"
-        );
-        assert_eq!(
-            baseline.trace, leaped.trace,
-            "trace divergence: quad-f2 {engine:?} leap"
-        );
-        assert_eq!(baseline.trace_dropped, leaped.trace_dropped);
-        if engine != Engine::AlwaysScan {
-            assert!(
-                leaped.stepped_cycles < baseline.stepped_cycles / 2,
-                "quad-f2 {engine:?}: leap never fired ({} of {} cycles stepped)",
-                leaped.stepped_cycles,
-                baseline.stepped_cycles
-            );
-            // Per-region accounting saw idle quads: the summed per-quad
-            // stepped cycles stay under stepped × quads.
-            assert!(
-                leaped.region_cycles_stepped < leaped.stepped_cycles * leaped.regions as u64,
-                "quad-f2 {engine:?}: every quad was active every stepped cycle"
-            );
-        }
-    }
+    let (active, scan) = leap_vs_scan(&with_quad(phased_point(), 2), 13, 1024);
+    assert!(active.regions > 1, "quad scheme did not partition");
+    assert!(scan.report.runtime_cycles > 40_000, "phased gap missing");
+    assert!(
+        active.stepped_cycles < scan.stepped_cycles / 2,
+        "quad-f2: leap never fired ({} of {} cycles stepped)",
+        active.stepped_cycles,
+        scan.stepped_cycles
+    );
+    // Per-region accounting saw idle quads: the summed per-quad stepped
+    // cycles stay under stepped × quads.
+    assert!(
+        active.region_cycles_stepped < active.stepped_cycles * active.regions as u64,
+        "quad-f2: every quad was active every stepped cycle"
+    );
 }
 
-/// The wider quad tree (fanout 4) gets the same guarantee on the
-/// cheapest slice of the matrix: leap vs the stepped baseline.
+/// The wider quad tree (fanout 4) gets the same guarantee.
 #[test]
 fn quad_f4_leap_is_byte_identical() {
-    let scenario = registry::by_name("scaling-mesh-small").expect("registered");
-    let mut spec = scenario
-        .grid
-        .enumerate()
-        .into_iter()
-        .find(|s| s.mesh_side == 8 && s.workload.name == "uniform-low")
-        .expect("8x8 uniform-low point exists");
-    spec.variant.label = format!("{}+quad-f4", spec.variant.label);
-    spec.variant.knobs.push(Knob::QuadNotify(4));
-    let baseline = run_leap(&spec, Engine::ActiveSet, false);
-    assert!(baseline.regions > 1, "quad scheme did not partition");
-    let leaped = run_leap(&spec, Engine::ActiveSet, true);
-    assert_eq!(
-        baseline.report.to_json(),
-        leaped.report.to_json(),
-        "report divergence: quad-f4 leap"
-    );
-    assert_eq!(baseline.trace, leaped.trace);
-    assert!(leaped.stepped_cycles < baseline.stepped_cycles / 2);
+    let (active, scan) = leap_vs_scan(&with_quad(phased_point(), 4), 13, 1024);
+    assert!(active.regions > 1, "quad scheme did not partition");
+    assert!(active.stepped_cycles < scan.stepped_cycles / 2);
+    assert!(active.region_cycles_stepped < active.stepped_cycles * active.regions as u64);
 }
 
 /// A compute gap longer than the 50k-cycle deadlock watchdog must not
-/// trip it under the leap engine: the watchdog counts *stepped* progress
-/// (a wedged machine really steps without completing ops), and the leap
-/// engine crosses the whole gap in one step. Under the old cycle-delta
-/// watchdog this run panicked as a false positive.
+/// trip it under the leaping default engine: the watchdog counts
+/// *stepped* progress (a wedged machine really steps without completing
+/// ops), and the leap crosses the whole gap in one step. Under the old
+/// cycle-delta watchdog this run panicked as a false positive. There is
+/// no always-scan comparison here: always-scan steps the gap cycle by
+/// cycle, so its watchdog trips by design; the same point with a gap
+/// under 50k is compared in `leap_matrix_is_byte_identical_including_traces`.
 #[test]
 fn watchdog_tolerates_leaped_gaps_beyond_50k_cycles() {
-    let scenario = registry::by_name("scaling-mesh-small").expect("registered");
-    let mut spec = scenario
-        .grid
-        .enumerate()
-        .into_iter()
-        .find(|s| s.mesh_side == 8 && s.workload.name == "uniform-low")
-        .expect("8x8 uniform-low point exists");
+    let mut spec = phased_point();
     spec.workload.phase_gap = 120_000;
-    spec.engine = Engine::Leap;
     let r = run_spec(&spec, 13, &Overrides::default());
     assert!(r.report.ops_completed > 0);
     assert!(
@@ -407,9 +318,7 @@ fn watchdog_tolerates_leaped_gaps_beyond_50k_cycles() {
     // quad only on cycles it was actually ticked. A bug that charged
     // leaped cycles to every region (or stepped progress to the watchdog)
     // trips the 50k assertion inside `run_to_completion`.
-    spec.variant.label = format!("{}+quad-f2", spec.variant.label);
-    spec.variant.knobs.push(Knob::QuadNotify(2));
-    let q = run_spec(&spec, 13, &Overrides::default());
+    let q = run_spec(&with_quad(spec, 2), 13, &Overrides::default());
     assert!(q.report.ops_completed > 0);
     assert!(
         q.report.runtime_cycles > 120_000,
@@ -433,30 +342,27 @@ fn watchdog_tolerates_leaped_gaps_beyond_50k_cycles() {
     );
 }
 
-/// The leap half of the `scaling-kilocore` scenario: on the phased
-/// low-injection 32×32 cell the event-leaping clock must reproduce the
-/// active-set report byte for byte while stepping fewer cycles.
-/// Kilocore-heavy, so ignored by default like the other release
-/// benchmarks (CI throughput job, `--release --ignored`).
+/// The 32×32 cell of the `scaling-kilocore` scenario: on the phased
+/// low-injection flat mesh the leaping default engine must reproduce the
+/// always-scan report and trace prefix byte for byte while stepping
+/// fewer cycles. Kilocore-heavy, so ignored by default like the other
+/// release benchmarks (CI throughput job, `--release --ignored`).
 #[test]
 #[ignore = "heavy: run explicitly with --release (CI throughput job)"]
 fn leap_fires_on_kilocore_low_injection() {
     let scenario = registry::by_name("scaling-kilocore").expect("registered");
-    let specs = scenario.grid.enumerate();
-    let active = specs
-        .iter()
+    let spec = scenario
+        .grid
+        .enumerate()
+        .into_iter()
         .find(|s| s.mesh_side == 32 && s.fabric == scorpio_harness::Fabric::Mesh)
-        .expect("32x32 active cell");
-    let mut leap = active.clone();
-    leap.engine = Engine::Leap;
-    let ra = run_spec(active, 150, &Overrides::default());
-    let rl = run_spec(&leap, 150, &Overrides::default());
-    assert_eq!(ra.report.to_json(), rl.report.to_json(), "engines diverged");
+        .expect("32x32 cell");
+    let (active, scan) = leap_vs_scan(&spec, 150, 4096);
     assert!(
-        rl.stepped_cycles < ra.stepped_cycles,
+        active.stepped_cycles < scan.stepped_cycles,
         "leap never fired ({} vs {} stepped cycles)",
-        rl.stepped_cycles,
-        ra.stepped_cycles
+        active.stepped_cycles,
+        scan.stepped_cycles
     );
 }
 
@@ -465,9 +371,10 @@ fn leap_fires_on_kilocore_low_injection() {
 /// busy tile anywhere keeps the global clock stepping), but the
 /// per-region ledger must show event leaping working quad-by-quad —
 /// simulated cycles over mean stepped cycles per leaf quad at least 3×,
-/// and above the machine-wide ratio. Deterministic (ratios of simulated
-/// quantities), but kilocore-heavy, so ignored like the other release
-/// benchmarks (CI throughput job).
+/// and above the machine-wide ratio — while matching always-scan byte for
+/// byte. Deterministic (ratios of simulated quantities), but
+/// kilocore-heavy, so ignored like the other release benchmarks (CI
+/// throughput job).
 #[test]
 #[ignore = "heavy: run explicitly with --release (CI throughput job)"]
 fn quad_leap_region_ratio_floor_on_kilocore() {
@@ -479,17 +386,16 @@ fn quad_leap_region_ratio_floor_on_kilocore() {
         .find(|s| {
             s.mesh_side == 32
                 && s.fabric == scorpio_harness::Fabric::Mesh
-                && s.engine == Engine::Leap
                 && s.variant.knobs.contains(&Knob::QuadNotify(2))
         })
-        .expect("32x32 quad-f2 leap cell");
+        .expect("32x32 quad-f2 cell");
     // The tree shrank the window: 13 cycles at 32×32 against flat's 65.
     assert!(
         spec.config().notification_window() <= 20,
         "quad window regressed: {}",
         spec.config().notification_window()
     );
-    let r = run_spec(&spec, 150, &Overrides::default());
+    let (r, _) = leap_vs_scan(&spec, 150, 4096);
     assert!(r.report.ops_completed > 0);
     assert!(r.regions > 1, "quad scheme did not partition");
     let machine = r.report.runtime_cycles as f64 / r.stepped_cycles.max(1) as f64;
@@ -510,23 +416,9 @@ fn quad_leap_region_ratio_floor_on_kilocore() {
 /// engine actually skips most of the machine.
 #[test]
 fn scaling_mesh_point_is_byte_identical_across_engines() {
-    let scenario = registry::by_name("scaling-mesh-small").expect("registered");
-    let spec = scenario
-        .grid
-        .enumerate()
-        .into_iter()
-        .find(|s| s.mesh_side == 8 && s.workload.name == "uniform-low")
-        .expect("8x8 uniform-low point exists");
-    let mut scan_spec = spec.clone();
-    scan_spec.engine = Engine::AlwaysScan;
+    let spec = phased_point();
     let active = run_spec(&spec, 13, &Overrides::default());
-    let scan = run_spec(&scan_spec, 13, &Overrides::default());
-    assert_eq!(
-        active.report.to_json(),
-        scan.report.to_json(),
-        "engine divergence at {}",
-        spec.key()
-    );
+    assert_scan_matches(&spec, &active, 13, &Overrides::default());
     // The runs did real work and really slept through phases.
     assert!(active.report.ops_completed > 0);
     assert!(active.report.runtime_cycles > 40_000, "phased gap missing");

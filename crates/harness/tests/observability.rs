@@ -284,10 +284,9 @@ fn open_loop_spans_reconcile_and_fill_the_source_phase() {
     );
 }
 
-/// Spans and windows are simulation truth, so every engine must render
-/// byte-identical streams — the always-scan and coordinate-routing
-/// references and the leaping clock, on single- and multi-plane
-/// configurations.
+/// Spans and windows are simulation truth, so both engines must render
+/// byte-identical streams — the leaping active-set engine and the
+/// always-scan reference, on single- and multi-plane configurations.
 #[test]
 fn span_and_window_streams_are_engine_invariant() {
     let ov = Overrides {
@@ -302,26 +301,24 @@ fn span_and_window_streams_are_engine_invariant() {
         let spans = base.spans.as_ref().expect("spans recorded");
         let windows = base.windows.as_ref().expect("windows recorded");
         assert!(!spans.is_empty() && !windows.is_empty());
-        for engine in [Engine::AlwaysScan, Engine::CoordRoute, Engine::Leap] {
-            let mut other = spec.clone();
-            other.engine = engine;
-            let r = run_spec(&other, 13, &ov);
-            assert_eq!(
-                r.spans.as_ref().unwrap(),
-                spans,
-                "{engine:?} spans diverge at {planes} plane(s)"
-            );
-            assert_eq!(
-                r.windows.as_ref().unwrap(),
-                windows,
-                "{engine:?} windows diverge at {planes} plane(s)"
-            );
-            assert_eq!(
-                r.report.to_json(),
-                base.report.to_json(),
-                "{engine:?} report diverges at {planes} plane(s)"
-            );
-        }
+        let mut scan_spec = spec.clone();
+        scan_spec.engine = Engine::AlwaysScan;
+        let scan = run_spec(&scan_spec, 13, &ov);
+        assert_eq!(
+            scan.spans.as_ref().unwrap(),
+            spans,
+            "spans diverge at {planes} plane(s)"
+        );
+        assert_eq!(
+            scan.windows.as_ref().unwrap(),
+            windows,
+            "windows diverge at {planes} plane(s)"
+        );
+        assert_eq!(
+            scan.report.to_json(),
+            base.report.to_json(),
+            "report diverges at {planes} plane(s)"
+        );
     }
 }
 
@@ -336,8 +333,11 @@ fn span_and_window_output_is_thread_invariant() {
     let mk = |threads| ExecOptions {
         threads,
         ops_per_core: 8,
-        spans: true,
-        window_cycles: Some(256),
+        overrides: Overrides {
+            spans: true,
+            window_cycles: Some(256),
+            ..Overrides::default()
+        },
         ..ExecOptions::default()
     };
     let sink_opts = SinkOptions {

@@ -100,34 +100,28 @@ fn replay_arrivals_complete_the_full_trace() {
 }
 
 /// The equivalence matrix gains open-loop rows: under Poisson and bursty
-/// arrivals, all four engines must produce byte-identical reports AND
-/// merged flit traces. The leap row is the interesting one — arrival
-/// deadlines reach the timed-wake heap, so the leaping clock stops at
-/// them like any other event.
+/// arrivals, both engines must produce byte-identical reports AND merged
+/// flit traces. Arrival deadlines reach the timed-wake heap, so the
+/// active-set engine's leaping clock stops at them like any other event.
 #[test]
-fn open_loop_reports_and_traces_are_byte_identical_across_four_engines() {
+fn open_loop_reports_and_traces_are_byte_identical_across_both_engines() {
     for variant in ["pois-12", "burst-20"] {
         let spec = curve_cell(variant);
         assert_eq!(spec.engine, Engine::ActiveSet);
         let base = run_spec(&spec, 8, &traced(2048));
         let json = base.report.to_json();
         assert!(base.report.ops_completed > 0);
-        for engine in [Engine::AlwaysScan, Engine::CoordRoute, Engine::Leap] {
-            let mut other_spec = spec.clone();
-            other_spec.engine = engine;
-            let other = run_spec(&other_spec, 8, &traced(2048));
-            assert_eq!(
-                json,
-                other.report.to_json(),
-                "report divergence at {variant} vs {engine:?}"
-            );
-            assert_eq!(
-                base.trace, other.trace,
-                "trace divergence at {variant} vs {engine:?}"
-            );
-            assert_eq!(base.trace_dropped, other.trace_dropped);
-            assert_eq!(base.config_hash, other.config_hash);
-        }
+        let mut scan_spec = spec.clone();
+        scan_spec.engine = Engine::AlwaysScan;
+        let scan = run_spec(&scan_spec, 8, &traced(2048));
+        assert_eq!(
+            json,
+            scan.report.to_json(),
+            "report divergence at {variant}"
+        );
+        assert_eq!(base.trace, scan.trace, "trace divergence at {variant}");
+        assert_eq!(base.trace_dropped, scan.trace_dropped);
+        assert_eq!(base.config_hash, scan.config_hash);
     }
 }
 
@@ -142,8 +136,11 @@ fn open_loop_sweep_is_thread_count_invariant() {
     let mk = |threads| ExecOptions {
         threads,
         ops_per_core: 8,
-        spans: true,
-        window_cycles: Some(256),
+        overrides: Overrides {
+            spans: true,
+            window_cycles: Some(256),
+            ..Overrides::default()
+        },
         ..ExecOptions::default()
     };
     let sink_opts = SinkOptions {
@@ -175,10 +172,11 @@ fn open_loop_sweep_is_thread_count_invariant() {
 }
 
 /// The regression the arrival deadlines exist to prevent: on a sparse
-/// schedule the leaping clock must wake *at* each pending arrival, not
-/// beyond it. Equal reports and traces against the stepped baseline
-/// prove no deadline was jumped; the stepped-cycle count proves the leap
-/// actually crossed the idle gaps rather than never firing.
+/// schedule the default engine's leaping clock must wake *at* each
+/// pending arrival, not beyond it. Equal reports and traces against the
+/// always-scan reference (which steps every cycle) prove no deadline was
+/// jumped; the stepped-cycle count proves the leap actually crossed the
+/// idle gaps rather than never firing.
 #[test]
 fn leap_never_jumps_an_arrival_deadline() {
     // A 2x2 machine at 1 request/1000 cycles/core: combined inter-
@@ -193,10 +191,10 @@ fn leap_never_jumps_an_arrival_deadline() {
         }
     }
     spec.variant.label = "pois-1".into();
-    let stepped = run_spec(&spec, 12, &traced(2048));
-    let mut leap_spec = spec.clone();
-    leap_spec.engine = Engine::Leap;
-    let leaped = run_spec(&leap_spec, 12, &traced(2048));
+    let leaped = run_spec(&spec, 12, &traced(2048));
+    let mut scan_spec = spec.clone();
+    scan_spec.engine = Engine::AlwaysScan;
+    let stepped = run_spec(&scan_spec, 12, &traced(2048));
     assert_eq!(
         stepped.report.to_json(),
         leaped.report.to_json(),

@@ -264,22 +264,16 @@ impl<T: Payload + SteerKey> Nic<T> {
     /// wakes the tile. Empty windows observed late are harmless: they
     /// carry nothing and announcing is only required when `unsent > 0` or
     /// a stop bit is due, both of which keep the NIC awake.
+    ///
+    /// An *outstanding announcement* (`announced > 0`, waiting for its
+    /// window to publish) does not keep the NIC awake either: the window
+    /// carrying it is non-empty by construction, and a non-empty window's
+    /// publication wakes every endpoint — so `process_completed_window`
+    /// runs at exactly the cycle it would have run had the NIC stayed
+    /// awake, and no tick in between would have done anything (`unsent` is
+    /// zero, so mid-window announce calls are no-ops). This is what lets
+    /// the system clock leap through live windows.
     pub fn can_sleep(&self) -> bool {
-        self.announced.iter().all(|&a| a == 0) && self.can_sleep_leap()
-    }
-
-    /// The relaxed sleep predicate used under the event-leaping clock: like
-    /// [`Nic::can_sleep`], except a NIC whose only remaining obligation is
-    /// an *outstanding announcement* (`announced > 0`, waiting for its
-    /// window to publish) may also sleep. This is safe because the window
-    /// carrying the announcement is non-empty by construction, and a
-    /// non-empty window's publication wakes every endpoint — so
-    /// `process_completed_window` runs at exactly the cycle it would have
-    /// run had the NIC stayed awake, and no tick in between would have done
-    /// anything (`unsent` is zero, so mid-window announce calls are
-    /// no-ops). Kept separate from `can_sleep` so the plain active-set
-    /// engine's sleep decisions stay exactly as before.
-    pub fn can_sleep_leap(&self) -> bool {
         self.unsent.iter().all(|&u| u == 0)
             && self.own_queue.iter().all(Fifo::is_empty)
             && self.ordered_out.is_empty()

@@ -170,9 +170,6 @@ pub struct Network<T> {
     topology: Topology,
     /// Routing tables compiled from the topology's spec at construction.
     tables: RoutingTables,
-    /// Route via the tables (default) or evaluate the spec per flit (the
-    /// coordinate-routing reference engine; see `route-lookup`).
-    route_tables: bool,
     cfg: NocConfig,
     cycle: Cycle,
     routers: Vec<Router<T>>,
@@ -319,7 +316,6 @@ impl<T: Payload> Network<T> {
         Network {
             topology,
             tables,
-            route_tables: true,
             cfg,
             cycle: Cycle::ZERO,
             routers,
@@ -566,16 +562,6 @@ impl<T: Payload> Network<T> {
         self.always_scan = scan;
     }
 
-    /// Selects how routers route: via the compiled tables (default) or by
-    /// evaluating the topology's coordinate spec per flit — the reference
-    /// engine the tables were compiled from. Produces identical behavior
-    /// (asserted by the equivalence suite); exists so the table-lookup
-    /// speedup stays measurable (`route-lookup` scenario). Call before the
-    /// first cycle.
-    pub fn set_table_routing(&mut self, tables: bool) {
-        self.route_tables = tables;
-    }
-
     /// Installs (or, with `None`, removes) the observability sink for this
     /// network, tagged as plane `plane` in trace events. Call before the
     /// first cycle; every hook is engine-invariant, so enabling the sink
@@ -701,7 +687,6 @@ impl<T: Payload> Network<T> {
         let Network {
             topology,
             tables,
-            route_tables,
             cfg,
             routers,
             inbox_flits,
@@ -727,8 +712,6 @@ impl<T: Payload> Network<T> {
         };
         let route = RouteCtx {
             tables,
-            topo: topology,
-            use_tables: *route_tables,
             datelines: topology.has_datelines(),
         };
         for &r in &list {
@@ -1537,62 +1520,6 @@ mod tests {
                 topo.label()
             );
             assert!(injected > 100, "too little traffic on {}", topo.label());
-        }
-    }
-
-    #[test]
-    fn coordinate_routing_reference_engine_is_cycle_exact() {
-        // Same traffic, tables on vs off: identical ejection log and drain
-        // cycle — the tables are the spec, memoized.
-        use scorpio_sim::SimRng;
-        for topo in [
-            Topology::from(Mesh::new(4, 3, &[RouterId(0), RouterId(11)])),
-            Topology::from(Torus::square_with_corner_mcs(4)),
-            Topology::from(Ring::with_spread_mcs(9, 3)),
-        ] {
-            let run = |tables: bool| -> Vec<(u64, u64)> {
-                let mut net: Network<u64> = Network::new(topo.clone(), NocConfig::scorpio());
-                net.set_table_routing(tables);
-                let eps: Vec<Endpoint> = net.topology().endpoints().collect();
-                let mut rng = SimRng::seed_from(7);
-                let mut log = Vec::new();
-                for cycle in 0..1200u64 {
-                    if cycle < 400 {
-                        for &ep in &eps {
-                            if rng.chance(0.04) {
-                                let to = eps[rng.gen_range_usize(eps.len())];
-                                if ep.slot.is_tile() && rng.chance(0.5) {
-                                    let _ = net.try_inject(
-                                        ep,
-                                        Packet::request(ep, Sid(ep.router.0), cycle as u16, cycle),
-                                    );
-                                } else if to != ep {
-                                    let _ = net.try_inject(ep, Packet::response(ep, to, 3, cycle));
-                                }
-                            }
-                        }
-                    }
-                    for &ep in &eps {
-                        let slots: Vec<EjectSlot> = net.eject_heads(ep).map(|(s, _)| s).collect();
-                        for s in slots {
-                            if let Some(f) = net.eject_take(ep, s) {
-                                log.push((cycle, f.packet.uid));
-                            }
-                        }
-                    }
-                    net.step();
-                    if cycle > 400 && net.is_drained() {
-                        break;
-                    }
-                }
-                assert!(
-                    net.is_drained(),
-                    "{} wedged (tables={tables})",
-                    topo.label()
-                );
-                log
-            };
-            assert_eq!(run(true), run(false), "divergence on {}", topo.label());
         }
     }
 }

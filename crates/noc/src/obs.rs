@@ -21,8 +21,8 @@
 //!   own stream, truncating the merged stream to the cap reproduces the
 //!   exact global prefix regardless of plane count or thread count.
 //!
-//! Every hook sits in code that executes identically under the active-set,
-//! always-scan and coord-route engines (after the shared idle-skip check),
+//! Every hook sits in code that executes identically under the active-set
+//! and always-scan engines (after the shared idle-skip check),
 //! so enabling observability never perturbs simulated behavior and its
 //! output is engine-invariant. Counter-classification paths only ever call
 //! `&self` router queries — arbiter state is never touched.

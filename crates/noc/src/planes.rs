@@ -306,14 +306,6 @@ impl<T: Payload + SteerKey> MultiNetwork<T> {
         }
     }
 
-    /// Selects table routing (default) or the coordinate-spec reference
-    /// engine on every plane.
-    pub fn set_table_routing(&mut self, tables: bool) {
-        for n in &mut self.planes {
-            n.set_table_routing(tables);
-        }
-    }
-
     /// Installs (or removes) an observability sink on every plane, each
     /// tagged with its plane index for trace merging. Call before the
     /// first cycle.

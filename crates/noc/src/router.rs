@@ -1272,8 +1272,6 @@ mod tests {
         let mut r: Router<u32> = Router::new(&tables, &c, RouterId(14));
         let ctx = RouteCtx {
             tables: &tables,
-            topo: &topo,
-            use_tables: true,
             datelines: false,
         };
         let mut out = Vec::new();
